@@ -3,7 +3,8 @@
 Commands are pure functions of their flags and seed; rerunning with the same
 arguments reproduces output files byte for byte.  Every file output gets a
 JSON manifest sidecar (<out>.manifest.json) recording the command, the full
-parameter set, the seed, the artifact version and a timestamp.
+parameter set, the seed, the artifact version and a timestamp; the sidecar
+is written only once its data file is complete.
 
 Exit status: 0 success / all checks passed, 1 verification failure,
 2 usage error.
@@ -24,17 +25,52 @@ import numpy as np
 from . import __version__
 from .density import ac_mass, boundary_probability, density_batch
 from .geometry import EvolutionParams, build_simplex, classify_batch, vertices_at_time
-from .simulator import SimulationConfig, simulate_batch
+from .simulator import BLOCK_SIZE, SimulationConfig, simulate_batch
 from .verification import SUITES, run_all
 
-_FMT = "{:.17g}"
+
+def _csv_template(floats: int, *tail: str) -> str:
+    """%-template of one CSV line: ``floats`` fields as ``%.17g``, then ``tail``.
+
+    C ``%.17g`` prints a Python float exactly as ``"{:.17g}".format`` does,
+    ``-0``, ``nan`` and ``inf`` included, and 17 significant digits round-trip
+    every float64.
+    """
+    return ",".join(["%.17g"] * floats + list(tail)) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return _FMT.format(float(x))
+def _format_rows(template: str, columns) -> str:
+    """``template % row`` for each row of ``columns`` (equal-length lists), joined."""
+    return "".join([template % row for row in zip(*columns)])
 
 
-def _write_manifest(out_path: str, command: str, parameters: dict, seed: int | None) -> None:
+def _write_file(path: str, write) -> None:
+    """Run ``write(fh)`` on ``path`` opened for writing.
+
+    If the write fails the file is removed; a failed ``open`` removes
+    nothing, since whatever sits at ``path`` is not this call's.
+    """
+    fh = open(path, "w")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        os.unlink(path)  # never leave partial output behind
+        raise
+
+
+def _emit(body, out: str | None, command: str, parameters: dict, seed: int | None) -> None:
+    """Write ``body`` to ``out``, or to stdout when ``out`` is None.
+
+    ``body`` is the text, or a function that writes it in chunks to a file.
+    A file gets its manifest sidecar only once the data file is complete; if
+    the manifest cannot be written the data file is removed too.
+    """
+    write = body if callable(body) else (lambda fh: fh.write(body))
+    if out is None:
+        write(sys.stdout)
+        return
+    _write_file(out, write)
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -42,23 +78,14 @@ def _write_manifest(out_path: str, command: str, parameters: dict, seed: int | N
         "artifact_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(text: str, out: str | None, command: str, parameters: dict, seed: int | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
-    except OSError:
-        if os.path.exists(out):
-            os.unlink(out)  # never leave partial output behind
+        _write_file(
+            out + ".manifest.json",
+            lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+        )
+    except BaseException:
+        os.unlink(out)
         raise
-    _write_manifest(out, command, parameters, seed)
 
 
 def _params_from(args) -> EvolutionParams:
@@ -82,12 +109,12 @@ def cmd_geometry(args) -> int:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [",".join(f"x_{j + 1}" for j in range(n))]
-        for row in geom.vertices:
-            lines.append(",".join(_fmt(c) for c in row))
-        for key in sorted(constants):
-            lines.append(f"# {key}={_fmt(constants[key])}")
-        text = "\n".join(lines) + "\n"
+        keys = sorted(constants)
+        text = (
+            ",".join(f"x_{j + 1}" for j in range(n)) + "\n"
+            + _format_rows(_csv_template(n), geom.vertices.T.tolist())
+            + _format_rows("# %s=%.17g\n", [keys, [constants[k] for k in keys]])
+        )
     _emit(text, args.out, "geometry", {"n": n, "format": args.format}, None)
     return 0
 
@@ -162,12 +189,14 @@ def cmd_density(args) -> int:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        header = ",".join(f"x_{j + 1}" for j in range(params.n)) + ",membership,density"
-        lines = [header]
-        for pt, loc, val in zip(pts, location, values):
-            lines.append(",".join(_fmt(c) for c in pt) + f",{loc},{_fmt(val)}")
-        lines.append(f"# ac_mass={_fmt(mass)},boundary_probability={_fmt(singular)}")
-        text = "\n".join(lines) + "\n"
+        text = (
+            ",".join(f"x_{j + 1}" for j in range(params.n)) + ",membership,density\n"
+            + _format_rows(
+                _csv_template(params.n, "%s", "%.17g"),
+                [*pts.T.tolist(), location.tolist(), values.tolist()],
+            )
+            + "# ac_mass=%.17g,boundary_probability=%.17g\n" % (mass, singular)
+        )
     _emit(text, args.out, "density", parameters, None)
     return 0
 
@@ -191,27 +220,27 @@ def cmd_simulate(args) -> int:
     data = simulate_batch(params, config)
     header = (
         ",".join(f"x_{j + 1}" for j in range(params.n))
-        + ",switches,initial_direction,current_direction"
+        + ",switches,initial_direction,current_direction\n"
     )
-    lines = [header]
-    for i in range(len(data)):
-        lines.append(
-            ",".join(_fmt(c) for c in data.positions[i])
-            + f",{data.switches[i]},{data.initial_direction[i]},{data.current_direction[i]}"
-        )
-    text = "\n".join(lines) + "\n"
+    row = _csv_template(params.n, "%d", "%d", "%d")
+
+    def write(fh) -> None:
+        fh.write(header)
+        for start in range(0, len(data), BLOCK_SIZE):
+            part = slice(start, start + BLOCK_SIZE)
+            cols = [
+                *data.positions[part].T.tolist(),
+                data.switches[part].tolist(),
+                data.initial_direction[part].tolist(),
+                data.current_direction[part].tolist(),
+            ]
+            fh.write(_format_rows(row, cols))
+
     parameters = {
         "n": params.n, "lambda": params.lam, "v": params.v, "t": args.t,
         "samples": args.samples, "policy": args.policy,
     }
-    _write_manifest(args.out, "simulate", parameters, args.seed)
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError:
-        if os.path.exists(args.out):
-            os.unlink(args.out)
-        raise
+    _emit(write, args.out, "simulate", parameters, args.seed)
     return 0
 
 

@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from .geometry import (
     EvolutionParams,
@@ -89,22 +90,23 @@ def boundary_probability(params: EvolutionParams, t: float) -> float:
 
     Equals 1 at t = 0 and decreases strictly to 0; the k-th summand is the
     probability of sitting on a k-dimensional face of the reachable simplex.
+    Computed as the regularized upper incomplete gamma function Q(n, lam t).
     """
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    lt = params.lam * t
-    total = 0.0
-    term = 1.0
-    for k in range(params.n):
-        if k:
-            term *= lt / k
-        total += term
-    return math.exp(-lt) * total
+    return float(gammaincc(params.n, params.lam * t))
 
 
 def ac_mass(params: EvolutionParams, t: float) -> float:
-    """Mass of the absolutely continuous component, P{N(t) >= n}."""
-    return 1.0 - boundary_probability(params, t)
+    """Mass of the absolutely continuous component, P{N(t) >= n}.
+
+    Computed as the regularized lower incomplete gamma function P(n, lam t),
+    not as ``1 - boundary_probability``, which cancels to rounding noise
+    once the mass falls below the float64 epsilon.
+    """
+    if t < 0:
+        raise ValueError(f"time t must be >= 0, got {t}")
+    return float(gammainc(params.n, params.lam * t))
 
 
 def _h_slices(n: int, p: np.ndarray, tol: float) -> list[np.ndarray]:

@@ -4,13 +4,96 @@ import math
 import numpy as np
 import pytest
 
-from evolvekit.cli import main
-from evolvekit.geometry import EvolutionParams, support_margins
+from evolvekit.cli import _csv_template, _format_rows, _parse_grid, _write_file, main
+from evolvekit.density import ac_mass, boundary_probability, density_batch
+from evolvekit.geometry import EvolutionParams, build_simplex, classify_batch, support_margins
+from evolvekit.simulator import BLOCK_SIZE, SimulationConfig, simulate_batch
 from evolvekit.verification import telegraph_density
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def _fmt(x):
+    """The float format of the per-row writers the %-templates replaced."""
+    return "{:.17g}".format(float(x))
+
+
+class TestRowFormatter:
+    def test_special_floats_match_format(self):
+        values = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, -1 / 3]
+        got = _format_rows(_csv_template(len(values), "%d"), [[v] for v in values] + [[-3]])
+        assert got == ",".join(_fmt(v) for v in values) + f",{np.int64(-3)}\n"
+
+    def test_geometry_bytes_match_old_writer(self, capsys):
+        assert run_cli(["geometry", "--n", "3"]) == 0
+        n = 3
+        constants = {
+            "volume_coefficient": math.sqrt(n + 1) ** (n + 1)
+            / (math.sqrt(n) ** n * math.factorial(n)),
+            "prefactor_unit_speed": math.sqrt(n) ** n / math.sqrt(n + 1) ** (n + 1),
+            "bessel_root_scale": math.exp(math.log(2 * n + 2) / (2 * n + 2)),
+            "pairwise_dot": -1.0 / n,
+        }
+        lines = [",".join(f"x_{j + 1}" for j in range(n))]
+        for row in build_simplex(n).vertices:
+            lines.append(",".join(_fmt(c) for c in row))
+        for key in sorted(constants):
+            lines.append(f"# {key}={_fmt(constants[key])}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_density_bytes_match_old_writer(self, capsys):
+        assert run_cli(["density", "--grid", "simplex:4", "--n", "2", "--t", "1"]) == 0
+        params = EvolutionParams(n=2, lam=1.0, v=1.0)
+        pts = _parse_grid("simplex:4", params, 1.0)
+        values = density_batch(params, pts, 1.0)
+        location = classify_batch(params, pts, 1.0)
+        mass = ac_mass(params, 1.0)
+        singular = boundary_probability(params, 1.0)
+        lines = ["x_1,x_2,membership,density"]
+        for pt, loc, val in zip(pts, location, values):
+            lines.append(",".join(_fmt(c) for c in pt) + f",{loc},{_fmt(val)}")
+        lines.append(f"# ac_mass={_fmt(mass)},boundary_probability={_fmt(singular)}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+class TestOutputFailures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "2", "--t", "1", "--samples", "10", "--seed", "1"],
+            ["geometry", "--n", "3"],
+        ],
+    )
+    def test_directory_out_leaves_no_manifest(self, tmp_path, argv):
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", str(target)])
+        assert exc.value.code == 2
+        assert target.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    def test_unwritable_manifest_removes_data(self, tmp_path):
+        out = tmp_path / "paths.csv"
+        (tmp_path / "paths.csv.manifest.json").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--n", "1", "--t", "1", "--samples", "10", "--seed", "1",
+                     "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_failed_write_removes_file(self, tmp_path):
+        out = tmp_path / "part.csv"
+
+        def write(fh):
+            fh.write("x_1\n")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            _write_file(str(out), write)
+        assert not out.exists()
 
 
 class TestGeometryCommand:
@@ -170,6 +253,38 @@ class TestSimulateCommand:
                  "--policy", "sideways", "--out", "/tmp/x.csv"]
             )
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize(
+        "n, policy, samples",
+        [
+            (1, "uniform", 500),
+            (1, "fixed:1", 500),
+            (2, "uniform", BLOCK_SIZE + 1),
+            (2, "fixed:1", 500),
+            (3, "uniform", 500),
+            (3, "fixed:1", 500),
+        ],
+    )
+    def test_bytes_match_old_writer(self, tmp_path, n, policy, samples):
+        out = tmp_path / "paths.csv"
+        assert run_cli(
+            ["simulate", "--n", str(n), "--lambda", "2", "--t", "1.5", "--samples",
+             str(samples), "--seed", "11", "--policy", policy, "--out", str(out)]
+        ) == 0
+        config = SimulationConfig(
+            seed=11, samples=samples, horizon=1.5,
+            initial_direction=None if policy == "uniform" else 1,
+        )
+        data = simulate_batch(EvolutionParams(n=n, lam=2.0, v=1.0), config, workers=1)
+        header = ",".join(f"x_{j + 1}" for j in range(n))
+        lines = [header + ",switches,initial_direction,current_direction"]
+        for i in range(len(data)):
+            lines.append(
+                ",".join(_fmt(c) for c in data.positions[i])
+                + f",{data.switches[i]},{data.initial_direction[i]},{data.current_direction[i]}"
+            )
+        assert out.read_text() == "\n".join(lines) + "\n"
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import i0 as scipy_i0
@@ -202,6 +203,16 @@ class TestAcMass:
             assert ac_mass(params, lt) == pytest.approx(
                 float(poisson.sf(n - 1, lt)), rel=1e-12
             )
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_tiny_mass_without_cancellation(self, n):
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        exact = float(mpmath.gammainc(n, 0, 1.0, regularized=True))
+        assert ac_mass(params, 1.0) == pytest.approx(exact, rel=1e-12)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            ac_mass(EvolutionParams(n=2, lam=1.0, v=1.0), -0.5)
 
 
 class TestAnalyticBesselIntegral:
