@@ -34,6 +34,15 @@ The m-th summand is exposed as ``operator_terms[m]``; on the line (n = 1)
 it equals lam^(1-m) d^m/dt^m applied to the kernel and the whole expression
 reduces to the classical telegraph-process density.
 
+The slices are evaluated in exponentially scaled form, exp(-lam t) h_b(p),
+the same trick as scipy's ``ive``: the largest term is tracked in log space
+and the partial sums are rescaled in place once it passes e^600, so nothing
+overflows at any lam t.  At the centre of the simplex the series needs about
+lam t / (n+1) terms, so with the 2000-term cap ``density`` and
+``density_batch`` are finite and correct for lam t up to about 1750 (n+1)
+(3,500 at n = 1) and raise ValueError beyond that rather than return a
+truncated sum.  Densities below the float64 range (5e-324) read 0.
+
 ``jet_operator_density`` evaluates the plain time-operator composite
 prefactor * exp(-lam t) * [lam^n + lam^(n-1) d/dt + ... + d^n/dt^n] I.
 It coincides with ``density`` for n = 1 but does not integrate to
@@ -74,6 +83,7 @@ __all__ = [
 ]
 
 _SERIES_CAP = 2000
+_RESCALE_LOG = 600.0
 
 
 @dataclass(frozen=True)
@@ -109,29 +119,47 @@ def ac_mass(params: EvolutionParams, t: float) -> float:
     return float(gammainc(params.n, params.lam * t))
 
 
-def _h_slices(n: int, p: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The n+1 slice series h_b(p), b = 1..n+1, for a batch of products p >= 0.
+def _h_slices(n: int, p: np.ndarray, tol: float, shift: float) -> list[np.ndarray]:
+    """The n+1 scaled slice series exp(-shift) * h_b(p), b = 1..n+1, for a
+    batch of products p >= 0.
 
-    Term ratio t_(q+1)/t_q = p / (q^b (q+1)^(n+1-b)) keeps magnitudes tame;
-    each series starts at 1 and the factorial powers dominate quickly.
+    Term ratio t_(q+1)/t_q = p / (q^b (q+1)^(n+1-b)).  The largest term over
+    the batch (the one at max p) is tracked in log space; once it passes
+    e^_RESCALE_LOG, ``term`` and ``acc`` are divided by it in place and its
+    log moves into ``offset``, so no intermediate overflows whatever p is.
+    The series stops at the first term below tol times the largest one, and
+    raises ValueError if that does not happen within _SERIES_CAP terms.
     """
     out = []
     pmax = float(np.max(p, initial=0.0))
+    log_pmax = math.log(pmax) if pmax > 0.0 else -math.inf
+    log_tol = math.log(tol)
     for b in range(1, n + 2):
         term = np.ones_like(p)
         acc = term.copy()
-        tmax = 1.0
-        amax = 1.0
-        q = 1
-        while q < _SERIES_CAP:
+        log_tmax = log_amax = offset = 0.0
+        for q in range(1, _SERIES_CAP):
+            if log_amax - offset > _RESCALE_LOG:
+                factor = math.exp(offset - log_amax)
+                term *= factor
+                acc *= factor
+                offset = log_amax
             scale = 1.0 / (q**b * (q + 1) ** (n + 1 - b))
-            term = term * p * scale
+            term *= p * scale
             acc += term
-            tmax *= pmax * scale
-            amax = max(amax, tmax)
-            q += 1
-            if tmax < tol * amax:
+            log_tmax += log_pmax + math.log(scale)
+            log_amax = max(log_amax, log_tmax)
+            if log_tmax < log_tol + log_amax:
                 break
+        else:
+            raise ValueError(
+                f"slice series h_{b} for n = {n} did not converge within "
+                f"{_SERIES_CAP} terms at lam*t = {shift:g}"
+            )
+        if shift - offset > _RESCALE_LOG:  # keep exp(offset - shift) a normal float
+            acc *= math.exp(offset - log_amax)
+            offset = log_amax
+        acc *= math.exp(offset - shift)
         out.append(acc)
     return out
 
@@ -167,22 +195,20 @@ def density_batch(
     if inside.any():
         terms = _window_terms(params, X[inside], t, tol)
         consts = DerivedConstants.from_params(params)
-        values[inside] = (
-            consts.prefactor * math.exp(-params.lam * t) * terms.sum(axis=0)
-        )
+        values[inside] = consts.prefactor * terms.sum(axis=0)
     return values
 
 
 def _window_terms(
     params: EvolutionParams, X: np.ndarray, t: float, tol: float
 ) -> np.ndarray:
-    """Per-window contributions, shape (n+1, N); row m generalizes
-    lam^(n-m) d^m/dt^m of the kernel (equality holds at n = 1)."""
+    """Per-window contributions times exp(-lam t), shape (n+1, N); row m
+    generalizes lam^(n-m) d^m/dt^m of the kernel (equality holds at n = 1)."""
     n = params.n
     w = barycentric_coordinates(params, X, t)
     u = np.clip(params.lam * t * w, 0.0, None)
     p = np.prod(u, axis=1)
-    slices = _h_slices(n, p, tol)
+    slices = _h_slices(n, p, tol, params.lam * t)
     e = _window_sums(u)
     scale = params.lam**n / (n + 1)
     terms = np.empty_like(e)
@@ -199,7 +225,10 @@ def density(
     Inside the open simplex the value is
     prefactor * exp(-lam t) * sum(operator_terms); on the boundary and
     outside the absolutely continuous density is 0 (the boundary carries
-    the singular mass, see ``boundary_probability``).
+    the singular mass, see ``boundary_probability``).  The value comes from
+    the exp(-lam t)-scaled terms, which never overflow; ``operator_terms``
+    are unscaled, so where a term exceeds the float64 range (from about
+    lam t = 709 on) it reads inf, and 0 where its scaled form underflowed.
     """
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
@@ -209,9 +238,13 @@ def density(
     loc = support_contains(params, X[0], t)
     if loc is not Membership.INSIDE:
         return DensityValue(value=0.0, operator_terms=np.zeros(params.n + 1), location=loc)
-    terms = _window_terms(params, X, t, tol)[:, 0]
+    scaled = _window_terms(params, X, t, tol)[:, 0]
     consts = DerivedConstants.from_params(params)
-    value = consts.prefactor * math.exp(-params.lam * t) * float(terms.sum())
+    value = consts.prefactor * float(scaled.sum())
+    with np.errstate(over="ignore"):
+        terms = np.multiply(
+            scaled, np.exp(params.lam * t), out=np.zeros_like(scaled), where=scaled > 0.0
+        )
     terms.setflags(write=False)
     return DensityValue(value=value, operator_terms=terms, location=loc)
 

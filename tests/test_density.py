@@ -3,10 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0 as scipy_i0
 from scipy.special import i1 as scipy_i1
+from scipy.special import ive
 from scipy.stats import poisson
 
+from evolvekit.cli import main
 from evolvekit.density import (
     ac_mass,
     analytic_bessel_integral,
@@ -16,6 +20,7 @@ from evolvekit.density import (
     jet_operator_density,
     normalization_series_identity,
     remark_constant_check,
+    _h_slices,
     _window_terms,
 )
 from evolvekit.geometry import EvolutionParams, Membership, vertices_at_time, volume
@@ -27,6 +32,35 @@ def telegraph_oracle(x, t, lam, v):
     root = math.sqrt(v * v * t * t - x * x)
     xi = (lam / v) * root
     return math.exp(-lam * t) / (2 * v) * (lam * scipy_i0(xi) + lam * v * t * scipy_i1(xi) / root)
+
+
+def telegraph_oracle_scaled(x, t, lam, v):
+    """The same line density through exponentially scaled Bessel functions,
+    I_k(xi) = ive(k, xi) exp(xi), so that it stays finite at any lam t."""
+    x = np.asarray(x, dtype=float)
+    root = np.sqrt(v * v * t * t - x * x)
+    xi = (lam / v) * root
+    return (
+        np.exp(xi - lam * t) / (2 * v) * (lam * ive(0, xi) + lam * v * t * ive(1, xi) / root)
+    )
+
+
+def closed_form_oracle(n, lam, v, t, w):
+    """Density at barycentric weights w from the closed form in mpmath, with
+    h_b(p) = 0F_n(; 1^(b-1), 2^(n+1-b); p) and 40 digits throughout."""
+    with mpmath.workdps(40):
+        lt = mpmath.mpf(lam) * mpmath.mpf(t)
+        u = [lt * mpmath.mpf(float(wr)) for wr in w]
+        p = mpmath.fprod(u)
+        total = (n + 1) * mpmath.hyper([], [1] * n, p)
+        for m in range(1, n + 1):
+            e = mpmath.fsum(
+                mpmath.fprod(u[(i + j) % (n + 1)] for j in range(m)) for i in range(n + 1)
+            )
+            b = n + 1 - m
+            total += e * mpmath.hyper([], [1] * (b - 1) + [2] * (n + 1 - b), p)
+        prefactor = mpmath.sqrt(n) ** n / (mpmath.sqrt(n + 1) ** (n + 1) * mpmath.mpf(v) ** n)
+        return float(prefactor * mpmath.exp(-lt) * mpmath.mpf(lam) ** n / (n + 1) * total)
 
 
 def interior_points(params, t, count, seed, pull=0.95):
@@ -118,17 +152,13 @@ class TestDensityGeneral:
 
     def test_continuity_at_boundary(self):
         # approach a facet point radially; the limit is the window-term sum
-        # evaluated at the boundary point itself
+        # (already scaled by exp(-lam t)) evaluated at the boundary point itself
         params = EvolutionParams(n=2, lam=1.0, v=1.0)
         t = 1.0
         verts = vertices_at_time(params, t)
         edge_mid = 0.5 * (verts[0] + verts[1])
         consts = DerivedConstants.from_params(params)
-        limit = (
-            consts.prefactor
-            * math.exp(-params.lam * t)
-            * _window_terms(params, edge_mid[None, :], t, 1e-14).sum()
-        )
+        limit = consts.prefactor * _window_terms(params, edge_mid[None, :], t, 1e-14).sum()
         deltas = np.array([1e-3, 1e-5, 1e-7])
         approached = density_batch(params, np.outer(1 - deltas, edge_mid), t)
         errors = np.abs(approached - limit)
@@ -163,6 +193,137 @@ class TestDensityGeneral:
         f = density(params, x, t).value
         g = jet_operator_density(params, x, t)
         assert abs(g - f) / f > 1e-3
+
+
+class TestLargeLambdaT:
+    """The scaled slice series far past lam t ~ 709, where exp(lam t) overflows."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("lt", [1.0, 20.0, 800.0, 2000.0])
+    def test_slices_match_mpmath(self, n, lt):
+        # products from the centre of the simplex down to a face, each alone
+        # and all in one batch, so that batches with and without a rescale
+        # are both covered
+        p = (lt / (n + 1)) ** (n + 1) * np.array([1.0, 0.3, 1e-2, 1e-6, 0.0])
+        with mpmath.workdps(40):
+            oracle = np.array([
+                [
+                    float(mpmath.hyper([], [1] * (b - 1) + [2] * (n + 1 - b), mpmath.mpf(pk))
+                          * mpmath.exp(-lt))
+                    for pk in p
+                ]
+                for b in range(1, n + 2)
+            ])
+        batch = np.array(_h_slices(n, p, 1e-12, lt))
+        alone = np.hstack([np.array(_h_slices(n, p[k:k + 1], 1e-12, lt)) for k in range(len(p))])
+        keep = oracle >= 1e-300
+        assert keep[:, 0].all()
+        for got in (batch, alone):
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got[keep] - oracle[keep]) <= 1e-12 * oracle[keep])
+            assert np.all(got[~keep] < 1e-299)
+
+    @pytest.mark.parametrize("lam,v,t", [(1.0, 1.0, 700.0), (2.0, 0.5, 400.0), (0.5, 2.0, 4000.0)])
+    def test_line_matches_scaled_bessel(self, lam, v, t):
+        params = EvolutionParams(n=1, lam=lam, v=v)
+        xs = np.linspace(-v * t, v * t, 2003)[1:-1]
+        got = density_batch(params, xs[:, None], t)
+        oracle = telegraph_oracle_scaled(xs, t, lam, v)
+        keep = oracle >= 1e-300
+        assert np.count_nonzero(keep) > 1000
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got[keep] - oracle[keep]) / oracle[keep]) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lt", [800.0, 2000.0])
+    def test_plane_and_space_match_closed_form(self, n, lt):
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        w = np.random.default_rng(n).dirichlet(np.full(n + 1, 4.0), size=12)
+        got = density_batch(params, w @ vertices_at_time(params, lt), lt)
+        oracle = np.array([closed_form_oracle(n, 1.0, 1.0, lt, wi) for wi in w])
+        keep = oracle >= 1e-300
+        assert np.count_nonzero(keep) >= 6
+        assert np.max(np.abs(got[keep] - oracle[keep]) / oracle[keep]) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_finite_everywhere_at_lam_t_800(self, n):
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        t = 800.0
+        x = np.random.default_rng(10 + n).dirichlet(np.ones(n + 1), size=5000) @ vertices_at_time(
+            params, t
+        )
+        got = density_batch(params, np.vstack([x, 1.01 * x[:500]]), t)
+        assert np.all(np.isfinite(got))
+        assert np.all(got >= 0.0)
+        assert np.count_nonzero(got[:5000]) > 4500
+
+    def test_cli_line_grid_rows_are_finite(self, tmp_path):
+        out = tmp_path / "density.csv"
+        assert main(["density", "--n", "1", "--t", "800", "--grid=-900:900:41", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+        assert len(rows) == 41
+        values = [float(row[-1]) for row in rows]
+        assert all(math.isfinite(value) for value in values)
+        assert all(value > 0.0 for value, row in zip(values, rows) if row[1] == "inside")
+
+    def test_series_past_the_term_cap_raises(self):
+        # the centre of the line at lam t = 1e4 needs more than _SERIES_CAP
+        # terms; a truncated sum would be silently wrong
+        params = EvolutionParams(n=1, lam=1.0, v=1.0)
+        with pytest.raises(ValueError, match=r"n = 1 .*lam\*t = 10000"):
+            density_batch(params, [[0.0]], 1e4)
+        with pytest.raises(ValueError, match=r"n = 1 .*lam\*t = 10000"):
+            density(params, [0.0], 1e4)
+
+
+@st.composite
+def evolution_cases(draw):
+    """Parameters, a time with lam t in [0.001, 2000] and 1..6 points: points
+    of the closed simplex (faces included) scaled by 0.99 to 1.05 about its
+    centre, so that some land outside."""
+    n = draw(st.integers(1, 4))
+    lam = draw(st.floats(0.05, 20.0))
+    v = draw(st.floats(0.1, 10.0))
+    lt = draw(st.floats(1e-3, 2000.0))
+    raw = draw(
+        st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    stretch = draw(st.floats(0.99, 1.05))
+    params = EvolutionParams(n=n, lam=lam, v=v)
+    t = lt / lam
+    w = np.array(raw) + 1e-12
+    w /= w.sum(axis=1, keepdims=True)
+    return params, t, stretch * (w @ vertices_at_time(params, t))
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+class TestDensityProperties:
+    @PROPERTY_SETTINGS
+    @given(evolution_cases())
+    def test_finite_and_nonnegative(self, case):
+        params, t, x = case
+        f = density_batch(params, x, t)
+        assert np.all(np.isfinite(f))
+        assert np.all(f >= 0.0)
+
+    @PROPERTY_SETTINGS
+    @given(evolution_cases())
+    def test_batch_equals_scalar(self, case):
+        # one point per batch call: across a larger batch the truncation
+        # follows the largest product and the per-row rounding of the
+        # barycentric map can differ, both amplified by lam t, so equality
+        # at 1e-14 is a one-point property (test_batch_matches_scalar covers
+        # a 30-point batch at small lam t)
+        params, t, x = case
+        for xi in x:
+            batch = density_batch(params, xi[None, :], t)[0]
+            assert batch == pytest.approx(density(params, xi, t).value, rel=1e-14, abs=0.0)
 
 
 class TestBoundaryProbability:
