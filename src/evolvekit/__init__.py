@@ -25,11 +25,9 @@ from .geometry import (
     Membership,
     OutsideSupportError,
     SimplexGeometry,
-    YCoordinates,
     barycentric_coordinates,
     build_simplex,
     support_contains,
-    to_y_coordinates,
     vertices_at_time,
     volume,
 )
@@ -46,10 +44,8 @@ from .simulator import (
 from .special_functions import (
     DerivedConstants,
     HyperBesselEval,
-    TimeJet,
     eval_hyper_bessel,
     hyper_bessel_ode_residual,
-    jet_of_hyper_bessel,
     series_coefficient,
 )
 from .verification import (
@@ -75,9 +71,7 @@ __all__ = [
     "QuadratureEstimate",
     "SimplexGeometry",
     "SimulationConfig",
-    "TimeJet",
     "VerificationReport",
-    "YCoordinates",
     "ac_mass",
     "analytic_bessel_integral",
     "barycentric_coordinates",
@@ -91,7 +85,6 @@ __all__ = [
     "histogram_fit",
     "hyper_bessel_ode_residual",
     "integrate_over_support",
-    "jet_of_hyper_bessel",
     "jet_operator_density",
     "normalization_series_identity",
     "remark_constant_check",
@@ -102,7 +95,6 @@ __all__ = [
     "simulate_batch",
     "simulate_path",
     "support_contains",
-    "to_y_coordinates",
     "vertices_at_time",
     "volume",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .density import ac_mass, boundary_probability, density_batch
 from .geometry import EvolutionParams, build_simplex, classify_batch, vertices_at_time
-from .simulator import BLOCK_SIZE, SimulationConfig, simulate_batch
+from .simulator import BLOCK_SIZE, SimulationConfig, _lattice_keys, simulate_batch
 from .verification import SUITES, run_all
 
 
@@ -126,15 +126,12 @@ def _parse_grid(text: str, params: EvolutionParams, t: float) -> np.ndarray:
         m = int(text.split(":", 1)[1])
         if m < 1:
             raise ValueError("simplex grid resolution must be >= 1")
-        from itertools import product as iproduct
-
         verts = vertices_at_time(params, t)
         centers = []
-        for c in iproduct(range(m), repeat=params.n + 1):
-            if m - (params.n + 1) < sum(c) <= m - 1:
-                w = (np.array(c) + 0.5)
-                w = w / w.sum()
-                centers.append(w @ verts)
+        for c in _lattice_keys(params.n, m):
+            w = (np.array(c) + 0.5)
+            w = w / w.sum()
+            centers.append(w @ verts)
         return np.array(centers)
     axes = []
     parts = text.split(",")

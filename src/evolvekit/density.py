@@ -34,7 +34,8 @@ The m-th summand is exposed as ``operator_terms[m]``; on the line (n = 1)
 it equals lam^(1-m) d^m/dt^m applied to the kernel and the whole expression
 reduces to the classical telegraph-process density.
 
-The slices are evaluated in exponentially scaled form, exp(-lam t) h_b(p),
+The slices are summed by ``special_functions._h_slice``, the one series
+engine of the package, in exponentially scaled form, exp(-lam t) h_b(p),
 the same trick as scipy's ``ive``: the largest term is tracked in log space
 and the partial sums are rescaled in place once it passes e^600, so nothing
 overflows at any lam t.  At the centre of the simplex the series needs about
@@ -68,7 +69,7 @@ from .geometry import (
     volume,
     _y_affine,
 )
-from .special_functions import DerivedConstants, _kernel_jet_batch
+from .special_functions import _SERIES_CAP, DerivedConstants, _h_slice, _kernel_jet_batch
 
 __all__ = [
     "DensityValue",
@@ -81,10 +82,6 @@ __all__ = [
     "normalization_series_identity",
     "remark_constant_check",
 ]
-
-_SERIES_CAP = 2000
-_RESCALE_LOG = 600.0
-
 
 @dataclass(frozen=True)
 class DensityValue:
@@ -117,51 +114,6 @@ def ac_mass(params: EvolutionParams, t: float) -> float:
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
     return float(gammainc(params.n, params.lam * t))
-
-
-def _h_slices(n: int, p: np.ndarray, tol: float, shift: float) -> list[np.ndarray]:
-    """The n+1 scaled slice series exp(-shift) * h_b(p), b = 1..n+1, for a
-    batch of products p >= 0.
-
-    Term ratio t_(q+1)/t_q = p / (q^b (q+1)^(n+1-b)).  The largest term over
-    the batch (the one at max p) is tracked in log space; once it passes
-    e^_RESCALE_LOG, ``term`` and ``acc`` are divided by it in place and its
-    log moves into ``offset``, so no intermediate overflows whatever p is.
-    The series stops at the first term below tol times the largest one, and
-    raises ValueError if that does not happen within _SERIES_CAP terms.
-    """
-    out = []
-    pmax = float(np.max(p, initial=0.0))
-    log_pmax = math.log(pmax) if pmax > 0.0 else -math.inf
-    log_tol = math.log(tol)
-    for b in range(1, n + 2):
-        term = np.ones_like(p)
-        acc = term.copy()
-        log_tmax = log_amax = offset = 0.0
-        for q in range(1, _SERIES_CAP):
-            if log_amax - offset > _RESCALE_LOG:
-                factor = math.exp(offset - log_amax)
-                term *= factor
-                acc *= factor
-                offset = log_amax
-            scale = 1.0 / (q**b * (q + 1) ** (n + 1 - b))
-            term *= p * scale
-            acc += term
-            log_tmax += log_pmax + math.log(scale)
-            log_amax = max(log_amax, log_tmax)
-            if log_tmax < log_tol + log_amax:
-                break
-        else:
-            raise ValueError(
-                f"slice series h_{b} for n = {n} did not converge within "
-                f"{_SERIES_CAP} terms at lam*t = {shift:g}"
-            )
-        if shift - offset > _RESCALE_LOG:  # keep exp(offset - shift) a normal float
-            acc *= math.exp(offset - log_amax)
-            offset = log_amax
-        acc *= math.exp(offset - shift)
-        out.append(acc)
-    return out
 
 
 def _window_sums(u: np.ndarray) -> np.ndarray:
@@ -208,12 +160,11 @@ def _window_terms(
     w = barycentric_coordinates(params, X, t)
     u = np.clip(params.lam * t * w, 0.0, None)
     p = np.prod(u, axis=1)
-    slices = _h_slices(n, p, tol, params.lam * t)
     e = _window_sums(u)
     scale = params.lam**n / (n + 1)
     terms = np.empty_like(e)
     for m in range(n + 1):
-        terms[m] = scale * e[m] * slices[n - m]
+        terms[m] = scale * e[m] * _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
     return terms
 
 

@@ -13,10 +13,10 @@ by time t form the scaled simplex T_vt with vertices v*t*tau_i, and
 
 Two coordinate systems on T_vt are provided:
 
-* the n+1 affine coordinates y_1, ..., y_(n+1), each vanishing on one facet
-  and positive inside (``to_y_coordinates``), together with
-  z = (y_1 ... y_(n+1))^(1/(n+1)), the radial argument of the hyper-Bessel
-  kernel used by the density module;
+* the n+1 affine facet coordinates y_1, ..., y_(n+1), each vanishing on one
+  facet and positive inside (the first n+1 columns of ``support_margins``);
+  z = (y_1 ... y_(n+1))^(1/(n+1)) is the radial argument of the
+  hyper-Bessel kernel;
 
 * barycentric weights w_0, ..., w_n with x = v t * sum_r w_r tau_r
   (``barycentric_coordinates``).  Physically w_r is the fraction of time a
@@ -41,13 +41,11 @@ __all__ = [
     "Membership",
     "OutsideSupportError",
     "SimplexGeometry",
-    "YCoordinates",
     "barycentric_coordinates",
     "build_simplex",
     "classify_batch",
     "support_contains",
     "support_margins",
-    "to_y_coordinates",
     "vertices_at_time",
     "volume",
 ]
@@ -93,25 +91,6 @@ class SimplexGeometry:
 
     n: int
     vertices: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class YCoordinates:
-    """Affine facet coordinates y_1..y_(n+1) and the radial product root z.
-
-    ``z = (y_1 ... y_(n+1))^(1/(n+1))`` is defined (non-None) only when every
-    y_i >= 0, i.e. on the closed simplex; it vanishes exactly on the boundary.
-    """
-
-    y: np.ndarray = field(repr=False)
-    z: float | None
-
-    def require_z(self) -> float:
-        if self.z is None:
-            raise OutsideSupportError(
-                "z undefined: some y coordinate is negative (point outside support)"
-            )
-        return self.z
 
 
 @lru_cache(maxsize=None)
@@ -261,31 +240,6 @@ def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
 def support_contains(params: EvolutionParams, x, t: float) -> Membership:
     """Classify a single point as inside, boundary or outside of T_vt."""
     return classify_batch(params, np.atleast_1d(np.asarray(x, dtype=float)), t)[0]
-
-
-def to_y_coordinates(params: EvolutionParams, x, t: float) -> YCoordinates:
-    """Facet coordinates of a point.
-
-    y_1 = vt/n + x_1; each following y_k subtracts the chained linear
-    combination of x_1..x_(k-1) from x_k; y_(n+1) is the last upper-bound
-    margin.  All are affine in (x, t) and positive exactly inside T_vt.
-    """
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
-    X = _as_points(params, x)
-    if X.shape[0] != 1:
-        raise ValueError("to_y_coordinates takes a single point")
-    M, s = _y_affine(params.n)
-    y = (X @ M.T + s * (params.v * t))[0]
-    y.setflags(write=False)
-    if np.min(y) >= 0.0:
-        if np.any(y == 0.0):
-            z = 0.0
-        else:
-            z = float(np.exp(np.mean(np.log(y))))
-    else:
-        z = None
-    return YCoordinates(y=y, z=z)
 
 
 def volume(params: EvolutionParams, t: float) -> float:

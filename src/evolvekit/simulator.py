@@ -263,19 +263,17 @@ class SimplexCells:
         return table[c @ powers]
 
 
+def _lattice_keys(n: int, m: int) -> tuple:
+    """Barycentric lattice keys c = floor(m w) of the cells of resolution m,
+    in lexicographic order: n+1 digits in 0..m-1 with m-(n+1) < sum(c) <= m-1."""
+    return tuple(c for c in iter_product(range(m), repeat=n + 1) if m - (n + 1) < sum(c) <= m - 1)
+
+
 def simplex_cells(params: EvolutionParams, t: float, resolution: int) -> SimplexCells:
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     n = params.n
-    if n == 1:
-        keys: tuple = tuple(range(resolution))
-    else:
-        m = resolution
-        keys = tuple(
-            c
-            for c in iter_product(range(m), repeat=n + 1)
-            if m - (n + 1) < sum(c) <= m - 1
-        )
+    keys = tuple(range(resolution)) if n == 1 else _lattice_keys(n, resolution)
     return SimplexCells(params=params, t=t, resolution=resolution, keys=keys)
 
 

@@ -1,8 +1,13 @@
-"""Hyper-Bessel kernel, its series coefficients, and truncated-Taylor jets.
+"""Hyper-Bessel slice series, the kernel, its series coefficients, and jets.
 
-The kernel of order n+1 is the entire series
+The endpoint density is built from the slice series
 
-    I(w) = sum_{k>=0} (w/(n+1))^((n+1)k) / (k!)^(n+1),
+    h_b(p) = sum_{q>=1} p^(q-1) / ((q-1)!^b q!^(n+1-b)),    b = 1..n+1,
+
+all summed by one engine, ``_h_slice``, in exp(-shift)-scaled form.  The
+kernel of order n+1 is the top slice,
+
+    I(w) = h_(n+1)((w/(n+1))^(n+1)) = sum_{k>=0} (w/(n+1))^((n+1)k) / (k!)^(n+1),
 
 which reduces to the classical modified Bessel I_0 at n = 1 and solves the
 radial equation (z d/dz)^(n+1) g = (alpha z)^(n+1) g for g(z) = I(alpha z).
@@ -16,34 +21,34 @@ c_k * k^(n+1) = (alpha/(n+1))^(n+1) * c_(k-1), the termwise form of the
 product-derivative equation.
 
 Time derivatives of the composite t -> I(alpha z(x, t)) are taken with
-truncated-Taylor jets (exact polynomial arithmetic up to the needed order)
-rather than finite differences; finite differences are kept only as the
+truncated-Taylor jets, arrays whose last axis holds the coefficients of
+eps^0..eps^n (exact polynomial arithmetic up to the needed order), rather
+than finite differences; finite differences are kept only as the
 independent cross-check in ``hyper_bessel_ode_residual`` and the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .geometry import EvolutionParams, OutsideSupportError
+from .geometry import EvolutionParams
 
 __all__ = [
     "DerivedConstants",
     "HyperBesselEval",
-    "TimeJet",
     "eval_hyper_bessel",
     "hyper_bessel_ode_residual",
-    "jet_of_hyper_bessel",
     "series_coefficient",
     "tuned_ode_residual",
 ]
 
-_MAX_TERMS = 1000
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
+_SERIES_CAP = 2000
+_RESCALE_LOG = 600.0
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,58 @@ class DerivedConstants:
         return cls(alpha=alpha, prefactor=prefactor, pde_constant=pde_constant)
 
 
+def _h_slice(
+    n: int, b: int, p: np.ndarray, tol: float, shift: float
+) -> tuple[np.ndarray, int, float]:
+    """The scaled slice series exp(-shift) * h_b(p) for a batch of products
+    p >= 0, with the number of terms summed and the log of the last term
+    at max(p) (unscaled).
+
+    Term ratio t_(q+1)/t_q = p / (q^b (q+1)^(n+1-b)).  The largest term over
+    the batch (the one at max p) is tracked in log space; once it passes
+    e^_RESCALE_LOG, ``term`` and ``acc`` are divided by it in place and its
+    log moves into ``offset``, so no intermediate overflows whatever p is.
+    The series stops at the first term below tol times the largest one, and
+    raises ValueError if that does not happen within _SERIES_CAP terms.
+    """
+    pmax = float(np.max(p, initial=0.0))
+    log_pmax = math.log(pmax) if pmax > 0.0 else -math.inf
+    log_tol = math.log(tol)
+    term = np.ones_like(p)
+    acc = term.copy()
+    log_tmax = log_amax = offset = 0.0
+    for q in range(1, _SERIES_CAP):
+        if log_amax - offset > _RESCALE_LOG:
+            factor = math.exp(offset - log_amax)
+            term *= factor
+            acc *= factor
+            offset = log_amax
+        scale = 1.0 / (q**b * (q + 1) ** (n + 1 - b))
+        term *= p * scale
+        acc += term
+        log_tmax += log_pmax + math.log(scale)
+        log_amax = max(log_amax, log_tmax)
+        if log_tmax < log_tol + log_amax:
+            break
+    else:
+        raise ValueError(
+            f"slice series h_{b} for n = {n} did not converge within "
+            f"{_SERIES_CAP} terms at lam*t = {shift:g}"
+        )
+    if shift - offset > _RESCALE_LOG:  # keep exp(offset - shift) a normal float
+        acc *= math.exp(offset - log_amax)
+        offset = log_amax
+    acc *= math.exp(offset - shift)
+    return acc, q + 1, log_tmax
+
+
 def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     """Sum the kernel series at argument w >= 0.
 
-    Terms are accumulated through the exact ratio
-    t_(k+1)/t_k = (w/(n+1))^(n+1) / (k+1)^(n+1), which keeps intermediate
-    magnitudes bounded; summation stops once the geometric tail bound drops
-    below tol times the partial sum.
+    The kernel is the top slice h_(n+1) at p = (w/(n+1))^(n+1), summed by
+    ``_h_slice`` through the exact ratio t_(k+1)/t_k = p / (k+1)^(n+1).
+    The ratios decrease, so the dropped tail is at most the last term times
+    r / (1 - r), r the next ratio; that is ``truncation_bound``.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"order parameter n must be an integer >= 1, got {n}")
@@ -105,32 +155,22 @@ def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     if w < 0:
         raise ValueError(f"argument must be >= 0, got {w}")
     base = (w / (n + 1)) ** (n + 1)
-    total = 1.0
-    term = 1.0
-    k = 0
-    while k < _MAX_TERMS:
-        ratio = base / (k + 1) ** (n + 1)
-        nxt = term * ratio
-        if ratio < 1.0:
-            tail = nxt / (1.0 - ratio)
-            if tail < tol * total:
-                return HyperBesselEval(
-                    order=n + 1,
-                    argument=w,
-                    value=total,
-                    terms_used=k + 1,
-                    truncation_bound=tail,
-                )
-        term = nxt
-        total += term
-        if not math.isfinite(total):
-            raise OverflowError(f"kernel series overflowed at w={w}, n={n}")
-        k += 1
-    raise OverflowError(f"kernel series did not converge within {_MAX_TERMS} terms (w={w})")
-
-
-def _log_series_coefficient(n: int, alpha: float, k: int) -> float:
-    return (n + 1) * (k * math.log(alpha / (n + 1)) - gammaln(k + 1)) if k else 0.0
+    try:  # the value leaves float64 long before the series needs _SERIES_CAP terms
+        with np.errstate(over="ignore"):
+            values, terms, log_last = _h_slice(n, n + 1, np.array([base]), tol, 0.0)
+        value = float(values[0])
+        if not math.isfinite(value):
+            raise OverflowError
+    except (ValueError, OverflowError) as exc:
+        raise OverflowError(f"kernel series overflowed at w={w}, n={n}") from exc
+    ratio = base / terms ** (n + 1)
+    return HyperBesselEval(
+        order=n + 1,
+        argument=w,
+        value=value,
+        terms_used=terms,
+        truncation_bound=math.exp(log_last) * ratio / (1.0 - ratio),
+    )
 
 
 def series_coefficient(n: int, alpha: float, k: int) -> float:
@@ -143,81 +183,13 @@ def series_coefficient(n: int, alpha: float, k: int) -> float:
         raise ValueError(f"index k must be an integer >= 0, got {k}")
     if not (alpha > 0) or not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    logc = _log_series_coefficient(n, alpha, k)
+    logc = (n + 1) * (k * math.log(alpha / (n + 1)) - gammaln(k + 1)) if k else 0.0
     if abs(logc) > _LOG_HUGE:
         raise OverflowError(
             f"series coefficient magnitude exp({logc:.1f}) outside double range "
             f"(n={n}, alpha={alpha}, k={k})"
         )
     return math.exp(logc)
-
-
-@dataclass(frozen=True)
-class TimeJet:
-    """Truncated Taylor expansion sum_m a_m eps^m around a base time.
-
-    Arithmetic is exact polynomial arithmetic truncated at the jet degree;
-    the m-th derivative at the base point is m! * a_m.
-    """
-
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=float)
-        if coeff.ndim != 1 or coeff.size < 1:
-            raise ValueError("jet coefficients must be a nonempty 1-D array")
-        coeff = coeff.copy()
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-
-    @classmethod
-    def constant(cls, value: float, degree: int) -> "TimeJet":
-        c = np.zeros(degree + 1)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def affine(cls, value: float, slope: float, degree: int) -> "TimeJet":
-        if degree < 1:
-            raise ValueError("affine jet needs degree >= 1")
-        c = np.zeros(degree + 1)
-        c[0] = value
-        c[1] = slope
-        return cls(c)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
-    def derivative(self, m: int) -> float:
-        """m-th time derivative at the base point."""
-        if not 0 <= m <= self.degree:
-            raise ValueError(f"derivative order {m} outside jet degree {self.degree}")
-        return math.factorial(m) * float(self.coefficients[m])
-
-    def __add__(self, other: "TimeJet") -> "TimeJet":
-        self._check(other)
-        return TimeJet(self.coefficients + other.coefficients)
-
-    def __mul__(self, other):
-        if isinstance(other, TimeJet):
-            self._check(other)
-            return TimeJet(_jet_mul(self.coefficients, other.coefficients))
-        return TimeJet(self.coefficients * float(other))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "TimeJet":
-        if int(k) != k or k < 0:
-            raise ValueError(f"jet power must be an integer >= 0, got {k}")
-        out = TimeJet.constant(1.0, self.degree)
-        for _ in range(int(k)):
-            out = out * self
-        return out
-
-    def _check(self, other: "TimeJet") -> None:
-        if other.degree != self.degree:
-            raise ValueError(f"jet degree mismatch: {self.degree} vs {other.degree}")
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,10 +212,11 @@ def _kernel_jet_batch(
     ``base`` has shape (N, n+1) with the y values at the base time (all >= 0),
     ``slopes`` holds the constant dy_i/dt.  Returns jets of shape (N, n+1).
 
-    The series sum_k c_k P^k in the product jet P always includes terms up to
-    k = n, which is exact for boundary base points (where P has positive
-    valuation in eps); beyond that the usual next-term stopping rule applies
-    to the value slot.
+    The series sum_k c_k P^k in the product jet P follows the coefficient
+    recurrence c_k = c_(k-1) (alpha/(n+1))^(n+1) / k^(n+1).  It always
+    includes terms up to k = n, which is exact for boundary base points
+    (where P has positive valuation in eps); beyond that the usual
+    next-term stopping rule applies to the value slot.
     """
     deg = n
     npts = base.shape[0]
@@ -255,49 +228,18 @@ def _kernel_jet_batch(
         factor[:, 0] = base[:, i]
         factor[:, 1] = slopes[i]
         P = _jet_mul(P, factor)
+    pde_constant = (alpha / (n + 1)) ** (n + 1)
     G = np.zeros((npts, deg + 1))
-    Pk = np.zeros((npts, deg + 1))
-    Pk[:, 0] = 1.0
+    term = np.zeros((npts, deg + 1))
+    term[:, 0] = 1.0
     scale0 = 0.0
-    for k in range(_MAX_TERMS):
-        logc = _log_series_coefficient(n, alpha, k)
-        ck = math.exp(logc) if logc > -_LOG_HUGE else 0.0
-        G += ck * Pk
+    for k in range(1, _SERIES_CAP):
+        G += term
         scale0 = max(scale0, float(np.max(np.abs(G[:, 0]))), 1e-300)
-        Pk = _jet_mul(Pk, P)
-        nxt = ck if k + 1 >= _MAX_TERMS else math.exp(
-            max(_log_series_coefficient(n, alpha, k + 1), -_LOG_HUGE)
-        )
-        if k >= n and nxt * float(np.max(np.abs(Pk[:, 0]))) < tol * scale0:
+        term = _jet_mul(term, P) * (pde_constant / k ** (n + 1))
+        if k > n and float(np.max(np.abs(term[:, 0]))) < tol * scale0:
             break
     return G
-
-
-def jet_of_hyper_bessel(
-    n: int, alpha: float, y_jets: list[TimeJet], tol: float = 1e-12
-) -> TimeJet:
-    """Degree-n jet in time of the kernel composed with affine facet coordinates.
-
-    Each input jet must be affine in the expansion variable (slots beyond the
-    first derivative zero) with a nonnegative base value; a negative base
-    value means the point left the support.
-    """
-    if len(y_jets) != n + 1:
-        raise ValueError(f"expected {n + 1} coordinate jets, got {len(y_jets)}")
-    if not (0 < tol <= 1e-6):
-        raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    base = np.empty((1, n + 1))
-    slopes = np.empty(n + 1)
-    for i, jet in enumerate(y_jets):
-        c = jet.coefficients
-        if c.size > 2 and np.any(c[2:] != 0.0):
-            raise ValueError("coordinate jets must be affine in time")
-        base[0, i] = c[0]
-        slopes[i] = c[1] if c.size > 1 else 0.0
-    if np.any(base < 0):
-        raise OutsideSupportError("negative facet coordinate: point outside support")
-    G = _kernel_jet_batch(n, alpha, base, slopes, tol)
-    return TimeJet(G[0])
 
 
 def _radial_operator_grid(values: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:

@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .special_functions import (
     DerivedConstants,
+    _h_slice,
     series_coefficient,
     tuned_ode_residual,
 )
@@ -267,19 +268,11 @@ def check_bessel_integral(
     consts = DerivedConstants.from_params(params)
     n = params.n
 
-    # the kernel series via the ratio recurrence, over the whole batch at once
+    # the kernel is the top slice at p = pde_constant * prod y
     def kernel_batch(pts: np.ndarray) -> np.ndarray:
         margins = support_margins(params, pts, t)
         y = np.clip(margins[:, : n + 1], 0.0, None)
-        p = np.prod(y, axis=1) * consts.pde_constant
-        total = np.ones_like(p)
-        term = np.ones_like(p)
-        for k in range(1, 400):
-            term = term * p / float(k) ** (n + 1)
-            total += term
-            if float(term.max(initial=0.0)) < 1e-14 * float(total.max()):
-                break
-        return total
+        return _h_slice(n, n + 1, np.prod(y, axis=1) * consts.pde_constant, 1e-14, 0.0)[0]
 
     est = integrate_over_support(params, t, kernel_batch, count, rng)
     target = analytic_bessel_integral(params, t)

@@ -20,11 +20,10 @@ from evolvekit.density import (
     jet_operator_density,
     normalization_series_identity,
     remark_constant_check,
-    _h_slices,
     _window_terms,
 )
 from evolvekit.geometry import EvolutionParams, Membership, vertices_at_time, volume
-from evolvekit.special_functions import DerivedConstants
+from evolvekit.special_functions import DerivedConstants, _h_slice
 
 
 def telegraph_oracle(x, t, lam, v):
@@ -214,8 +213,11 @@ class TestLargeLambdaT:
                 ]
                 for b in range(1, n + 2)
             ])
-        batch = np.array(_h_slices(n, p, 1e-12, lt))
-        alone = np.hstack([np.array(_h_slices(n, p[k:k + 1], 1e-12, lt)) for k in range(len(p))])
+        def slices(p):
+            return np.array([_h_slice(n, b, p, 1e-12, lt)[0] for b in range(1, n + 2)])
+
+        batch = slices(p)
+        alone = np.hstack([slices(p[k:k + 1]) for k in range(len(p))])
         keep = oracle >= 1e-300
         assert keep[:, 0].all()
         for got in (batch, alone):

@@ -6,13 +6,11 @@ import pytest
 from evolvekit.geometry import (
     EvolutionParams,
     Membership,
-    OutsideSupportError,
     barycentric_coordinates,
     build_simplex,
     classify_batch,
     support_contains,
     support_margins,
-    to_y_coordinates,
     vertices_at_time,
     volume,
 )
@@ -109,15 +107,17 @@ class TestSupportContains:
 
 
 class TestYCoordinates:
+    """Facet coordinates: the first n+1 columns of ``support_margins``."""
+
+    @staticmethod
+    def y_of(p, x, t=1.0):
+        return support_margins(p, np.atleast_1d(np.asarray(x, float)), t)[0, : p.n + 1]
+
     def test_line_center(self):
-        yc = to_y_coordinates(params(1), [0.0], 1.0)
-        assert np.allclose(yc.y, [1.0, 1.0], atol=1e-15)
-        assert yc.z == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(self.y_of(params(1), [0.0]), [1.0, 1.0], atol=1e-15)
 
     def test_line_vertex(self):
-        yc = to_y_coordinates(params(1), [1.0], 1.0)
-        assert np.allclose(yc.y, [2.0, 0.0], atol=1e-15)
-        assert yc.z == 0.0
+        assert np.allclose(self.y_of(params(1), [1.0]), [2.0, 0.0], atol=1e-15)
 
     def test_interior_positivity(self):
         for n in (1, 2, 3, 4):
@@ -126,15 +126,7 @@ class TestYCoordinates:
             w = rng.dirichlet(np.ones(n + 1), size=200) * 0.98 + 0.02 / (n + 1)
             X = w @ vertices_at_time(p, 1.0)
             for x in X:
-                yc = to_y_coordinates(p, x, 1.0)
-                assert np.all(yc.y > 0)
-                assert yc.z is not None and yc.z > 0
-
-    def test_outside_flags_z(self):
-        yc = to_y_coordinates(params(1), [1.5], 1.0)
-        assert yc.z is None
-        with pytest.raises(OutsideSupportError):
-            yc.require_z()
+                assert np.all(self.y_of(p, x) > 0)
 
 
 class TestVolume:

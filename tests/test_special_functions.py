@@ -1,17 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import i0 as scipy_i0
 from scipy.special import i1 as scipy_i1
 
-from evolvekit.geometry import EvolutionParams, OutsideSupportError, support_margins, _y_affine
+from evolvekit.geometry import EvolutionParams, support_margins, _y_affine
 from evolvekit.special_functions import (
     DerivedConstants,
-    TimeJet,
+    _jet_mul,
+    _kernel_jet_batch,
     eval_hyper_bessel,
     hyper_bessel_ode_residual,
-    jet_of_hyper_bessel,
     series_coefficient,
     tuned_ode_residual,
 )
@@ -69,6 +70,20 @@ class TestEvalHyperBessel:
         with pytest.raises(ValueError):
             eval_hyper_bessel(0, 1.0)
 
+    @pytest.mark.parametrize("n,w", [(1, 2000.0), (2, 3000.0), (1, 1e5)])
+    def test_overflow_raises(self, n, w):
+        with pytest.raises(OverflowError):
+            eval_hyper_bessel(n, w)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_mpmath(self, n):
+        # I(w) = 0F_n(; 1, ..., 1; (w/(n+1))^(n+1))
+        for w in (0.0, 0.3, 1.0, 4.0, 12.0, 25.0, 40.0):
+            with mpmath.workdps(40):
+                oracle = float(mpmath.hyper([], [1] * n, mpmath.mpf(w / (n + 1)) ** (n + 1)))
+            got = eval_hyper_bessel(n, w, 1e-14).value
+            assert abs(got - oracle) <= 1e-12 * oracle
+
 
 class TestSeriesCoefficient:
     def test_k_zero_is_one(self):
@@ -101,45 +116,28 @@ class TestSeriesCoefficient:
 
 
 class TestTimeJet:
+    """Time jets are coefficient arrays; ``_jet_mul`` is their product."""
+
     def test_multiplication_matches_truncated_polynomial(self):
         rng = np.random.default_rng(0)
         for deg in (1, 2, 4):
             a = rng.normal(size=deg + 1)
             b = rng.normal(size=deg + 1)
-            got = (TimeJet(a) * TimeJet(b)).coefficients
+            got = _jet_mul(a, b)
             expected = np.convolve(a, b)[: deg + 1]
             assert np.allclose(got, expected, atol=1e-14)
 
-    def test_power_and_derivative(self):
-        j = TimeJet.affine(2.0, 3.0, degree=3)  # 2 + 3 eps
-        cubed = j**3
-        # (2 + 3e)^3 = 8 + 36e + 54e^2 + 27e^3
-        assert np.allclose(cubed.coefficients, [8.0, 36.0, 54.0, 27.0], atol=1e-13)
-        assert cubed.derivative(2) == pytest.approx(2.0 * 54.0)
-
-    def test_add_and_scalar(self):
-        a = TimeJet([1.0, 2.0])
-        b = TimeJet([0.5, -1.0])
-        assert np.allclose((a + b).coefficients, [1.5, 1.0])
-        assert np.allclose((2.0 * a).coefficients, [2.0, 4.0])
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TimeJet([1.0, 2.0]) * TimeJet([1.0, 2.0, 3.0])
-
-    def test_constant_constructor(self):
-        j = TimeJet.constant(4.0, degree=2)
-        assert np.allclose(j.coefficients, [4.0, 0.0, 0.0])
-
 
 def y_jets_at(params, x, t):
-    """Affine time-jets of the facet coordinates at a fixed point."""
+    """Base values and slopes of the affine facet-coordinate jets at a point."""
     M, s = _y_affine(params.n)
     base = M @ np.asarray(x, dtype=float) + s * params.v * t
-    return [
-        TimeJet.affine(float(b), float(sl * params.v), degree=params.n)
-        for b, sl in zip(base, s)
-    ]
+    return base[None, :], s * params.v
+
+
+def kernel_jet(n, alpha, base, slopes):
+    """Degree-n jet of the kernel at one base point, as a 1-D coefficient array."""
+    return _kernel_jet_batch(n, alpha, np.atleast_2d(base), np.asarray(slopes, float), 1e-12)[0]
 
 
 def kernel_at_time(params, x, t, alpha):
@@ -150,24 +148,23 @@ def kernel_at_time(params, x, t, alpha):
 
 
 class TestJetOfHyperBessel:
+    """``_kernel_jet_batch``: jets of the kernel along affine facet coordinates;
+    the m-th derivative at the base time is m! times slot m."""
+
     def test_constant_jets_reduce_to_plain_eval(self):
         n = 2
         vals = [0.7, 0.4, 0.9]
-        jets = [TimeJet.constant(v, degree=n) for v in vals]
-        got = jet_of_hyper_bessel(n, 1.3, jets)
+        got = kernel_jet(n, 1.3, vals, np.zeros(n + 1))
         z = float(np.prod(vals)) ** (1.0 / (n + 1))
-        assert got.coefficients[0] == pytest.approx(
-            eval_hyper_bessel(n, 1.3 * z).value, rel=1e-12
-        )
-        assert np.allclose(got.coefficients[1:], 0.0, atol=1e-15)
+        assert got[0] == pytest.approx(eval_hyper_bessel(n, 1.3 * z).value, rel=1e-12)
+        assert np.allclose(got[1:], 0.0, atol=1e-15)
 
     def test_classical_identity_on_the_line(self):
         # (lam + d/dt) applied at the center reproduces I_0(1) + I_1(1)
         params = EvolutionParams(n=1, lam=1.0, v=1.0)
         consts = DerivedConstants.from_params(params)
-        jets = y_jets_at(params, [0.0], 1.0)
-        G = jet_of_hyper_bessel(1, consts.alpha, jets)
-        value = 1.0 * G.derivative(0) + G.derivative(1)
+        G = kernel_jet(1, consts.alpha, *y_jets_at(params, [0.0], 1.0))
+        value = 1.0 * G[0] + G[1]
         assert value == pytest.approx(float(scipy_i0(1.0) + scipy_i1(1.0)), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -182,12 +179,12 @@ class TestJetOfHyperBessel:
         pts = w @ vertices_at_time(params, t)
         h = 1e-5
         for x in pts:
-            G = jet_of_hyper_bessel(n, consts.alpha, y_jets_at(params, x, t))
+            G = kernel_jet(n, consts.alpha, *y_jets_at(params, x, t))
             fd = (
                 kernel_at_time(params, x, t + h, consts.alpha)
                 - kernel_at_time(params, x, t - h, consts.alpha)
             ) / (2 * h)
-            assert G.derivative(1) == pytest.approx(fd, rel=1e-6)
+            assert G[1] == pytest.approx(fd, rel=1e-6)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_higher_slots_match_central_differences(self, n):
@@ -200,7 +197,7 @@ class TestJetOfHyperBessel:
         w = rng.dirichlet(np.ones(n + 1), size=10) * 0.8 + 0.2 / (n + 1)
         pts = w @ vertices_at_time(params, t)
         for x in pts:
-            G = jet_of_hyper_bessel(n, consts.alpha, y_jets_at(params, x, t))
+            G = kernel_jet(n, consts.alpha, *y_jets_at(params, x, t))
             for m in range(2, n + 1):
                 # m-th order central difference on the stencil t + (2j - m) h
                 h = 0.01
@@ -214,29 +211,16 @@ class TestJetOfHyperBessel:
                     (-1.0) ** (m - j) * math.comb(m, j) * vals[2 * j]
                     for j in range(m + 1)
                 ) / (2 * h) ** m
-                assert G.derivative(m) == pytest.approx(fd, rel=2e-3, abs=1e-8)
-
-    def test_rejects_negative_base(self):
-        jets = [TimeJet.affine(-0.1, 1.0, 1), TimeJet.affine(1.0, 1.0, 1)]
-        with pytest.raises(OutsideSupportError):
-            jet_of_hyper_bessel(1, 1.0, jets)
-
-    def test_rejects_wrong_count_and_nonaffine(self):
-        with pytest.raises(ValueError):
-            jet_of_hyper_bessel(2, 1.0, [TimeJet.constant(1.0, 2)] * 2)
-        bad = TimeJet(np.array([1.0, 1.0, 0.5]))
-        with pytest.raises(ValueError):
-            jet_of_hyper_bessel(2, 1.0, [bad, bad, bad])
+                assert math.factorial(m) * G[m] == pytest.approx(fd, rel=2e-3, abs=1e-8)
 
     def test_boundary_base_is_exact(self):
         # a vanishing coordinate kills all series terms beyond the jet degree,
         # so the jet equals the degree-n truncation of c_1 * prod y (n=1 case)
         n = 1
-        jets = [TimeJet.affine(0.0, 2.0, 1), TimeJet.affine(3.0, 1.0, 1)]
-        G = jet_of_hyper_bessel(n, 1.0, jets)
+        G = kernel_jet(n, 1.0, [0.0, 3.0], [2.0, 1.0])
         c1 = series_coefficient(n, 1.0, 1)
-        assert G.coefficients[0] == pytest.approx(1.0)  # k=0 term
-        assert G.coefficients[1] == pytest.approx(c1 * 2.0 * 3.0, rel=1e-13)
+        assert G[0] == pytest.approx(1.0)  # k=0 term
+        assert G[1] == pytest.approx(c1 * 2.0 * 3.0, rel=1e-13)
 
 
 class TestOdeResidual:

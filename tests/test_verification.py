@@ -95,6 +95,11 @@ class TestIntegrateOverSupport:
             rep = check_bessel_integral(params(n), t, 300_000, np.random.default_rng(9))
             assert rep.passed, rep
 
+    def test_kernel_integral_suite_passes(self):
+        reports = run_all(budget=200_000, seed=0, suites=("bessel-integral",))
+        assert len(reports) == 9
+        assert all(rep.passed for rep in reports), reports
+
     def test_rejects_nonfinite_integrand(self):
         p = params(1)
         with pytest.raises(ValueError):
