@@ -23,7 +23,6 @@ from .density import (
 from .geometry import (
     EvolutionParams,
     Membership,
-    OutsideSupportError,
     SimplexGeometry,
     barycentric_coordinates,
     build_simplex,
@@ -65,7 +64,6 @@ __all__ = [
     "FitReport",
     "HyperBesselEval",
     "Membership",
-    "OutsideSupportError",
     "PathDataset",
     "PathSample",
     "QuadratureEstimate",

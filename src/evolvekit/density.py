@@ -117,15 +117,18 @@ def ac_mass(params: EvolutionParams, t: float) -> float:
 
 
 def _window_sums(u: np.ndarray) -> np.ndarray:
-    """Cyclic-window products e_m(u), m = 0..n, shape (n+1, N); e_0 = n+1."""
-    nplus1 = u.shape[1]
-    out = np.empty((nplus1, u.shape[0]))
-    out[0] = nplus1
-    windows = np.ones_like(u)
-    for m in range(1, nplus1):
-        for i0 in range(nplus1):
-            windows[:, i0] *= u[:, (i0 + m - 1) % nplus1]
-        out[m] = windows.sum(axis=1)
+    """Cyclic-window products e_m(u), m = 0..n, shape (n+1, N), e_0 = n+1, of
+    u with shape (n+1, N).  Row i of ``windows`` holds u_i ... u_(i+m-1)
+    (indices mod n+1); one more factor per window is two row-slice products."""
+    k = u.shape[0]
+    out = np.empty_like(u)
+    out[0] = k
+    windows = u.copy()
+    windows.sum(axis=0, out=out[1])
+    for s in range(1, k - 1):
+        windows[: k - s] *= u[s:]
+        windows[k - s :] *= u[:s]
+        windows.sum(axis=0, out=out[s + 1])
     return out
 
 
@@ -145,7 +148,7 @@ def density_batch(
     inside = loc == Membership.INSIDE
     values = np.zeros(len(X))
     if inside.any():
-        terms = _window_terms(params, X[inside], t, tol)
+        terms = _window_terms(params, X.compress(inside, axis=0), t, tol)
         consts = DerivedConstants.from_params(params)
         values[inside] = consts.prefactor * terms.sum(axis=0)
     return values
@@ -157,14 +160,13 @@ def _window_terms(
     """Per-window contributions times exp(-lam t), shape (n+1, N); row m
     generalizes lam^(n-m) d^m/dt^m of the kernel (equality holds at n = 1)."""
     n = params.n
-    w = barycentric_coordinates(params, X, t)
-    u = np.clip(params.lam * t * w, 0.0, None)
-    p = np.prod(u, axis=1)
-    e = _window_sums(u)
-    scale = params.lam**n / (n + 1)
-    terms = np.empty_like(e)
+    u = params.lam * t * barycentric_coordinates(params, X, t).T
+    np.clip(u, 0.0, None, out=u)
+    p = np.prod(u, axis=0)
+    terms = _window_sums(u)
+    terms *= params.lam**n / (n + 1)
     for m in range(n + 1):
-        terms[m] = scale * e[m] * _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
+        terms[m] *= _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
     return terms
 
 

@@ -23,6 +23,10 @@ Two coordinate systems on T_vt are provided:
   trajectory ending at x spent moving toward vertex r, so
   w_r = (1 + n <tau_r, x> / (v t)) / (n + 1).
 
+Batch results have shape (N, k), k <= 2n, but are computed as C-contiguous
+(k, N) arrays and returned as transposed views: for so few columns, whole-row
+operations over N points are what make a batch cheap; hot paths take ``.T``.
+
 Everything here is a pure function of its arguments; returned arrays are
 written once and safe to share between threads.
 """
@@ -39,7 +43,6 @@ import numpy as np
 __all__ = [
     "EvolutionParams",
     "Membership",
-    "OutsideSupportError",
     "SimplexGeometry",
     "barycentric_coordinates",
     "build_simplex",
@@ -52,10 +55,6 @@ __all__ = [
 
 #: relative scale for boundary classification, applied to max(v*t, tiny)
 EPS_GEO = 1e-9
-
-
-class OutsideSupportError(ValueError):
-    """Raised when a quantity is requested outside the reachable simplex."""
 
 
 class Membership(Enum):
@@ -171,6 +170,16 @@ def _upper_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
     return U, u
 
 
+@lru_cache(maxsize=None)
+def _support_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n margins as one map, A @ x + c * (v*t): _y_affine then _upper_affine."""
+    A = np.vstack([_y_affine(n)[0], _upper_affine(n)[0]])
+    c = np.concatenate([_y_affine(n)[1], _upper_affine(n)[1]])
+    A.setflags(write=False)
+    c.setflags(write=False)
+    return A, c
+
+
 def build_simplex(n: int) -> SimplexGeometry:
     """Direction set of the cyclic motion: n+1 regular-simplex unit vectors.
 
@@ -199,17 +208,17 @@ def support_margins(params: EvolutionParams, x, t: float) -> np.ndarray:
     Rows are points, columns the inequalities: first the n+1 facet
     coordinates y_i (lower bounds plus the last upper bound), then the n-1
     remaining chained upper bounds.  All margins positive means inside.
+    The result is the transposed view of a C-contiguous (2n, N) array.
     """
     X = _as_points(params, x)
-    n = params.n
-    M, s = _y_affine(n)
-    U, u = _upper_affine(n)
-    vt = params.v * t
-    Y = X @ M.T + s * vt
-    if U.shape[0]:
-        extra = X @ U.T + u * vt
-        return np.concatenate([Y, extra], axis=1)
-    return Y
+    A, c = _support_affine(params.n)
+    margins = A @ X.T
+    margins += (c * (params.v * t))[:, None]
+    return margins.T
+
+
+#: Membership by int8 code (lo >= -eps) + (lo > eps) of the least margin lo
+_BY_CODE = np.array([Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE], dtype=object)
 
 
 def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
@@ -223,18 +232,12 @@ def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
     X = _as_points(params, x)
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    if t == 0:
-        at_origin = np.max(np.abs(X), axis=1) == 0.0
-        out = np.where(at_origin, Membership.BOUNDARY, Membership.OUTSIDE)
-        return out
-    margins = support_margins(params, X, t)
-    eps = EPS_GEO * max(params.v * t, np.finfo(float).tiny)
-    lo = margins.min(axis=1)
-    result = np.empty(len(X), dtype=object)
-    result[lo > eps] = Membership.INSIDE
-    result[(lo <= eps) & (lo >= -eps)] = Membership.BOUNDARY
-    result[lo < -eps] = Membership.OUTSIDE
-    return result
+    if t == 0:  # the origin is the only point with margin 0 >= -0
+        lo, eps = -np.abs(X).max(axis=1), 0.0
+    else:
+        lo = support_margins(params, X, t).T.min(axis=0)
+        eps = EPS_GEO * max(params.v * t, np.finfo(float).tiny)
+    return _BY_CODE[np.add(lo >= -eps, lo > eps, dtype=np.int8)]
 
 
 def support_contains(params: EvolutionParams, x, t: float) -> Membership:
@@ -265,11 +268,13 @@ def barycentric_coordinates(params: EvolutionParams, x, t: float) -> np.ndarray:
     """Sojourn-fraction weights w_r of points, shape (N, n+1), rows sum to 1.
 
     w_r(x) = (1 + n <tau_r, x> / (vt)) / (n+1); all weights are nonnegative
-    exactly on the closed simplex.  Requires t > 0.
+    exactly on the closed simplex.  Requires t > 0.  The result is the
+    transposed view of a C-contiguous (n+1, N) array.
     """
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
     X = _as_points(params, x)
     n = params.n
-    V = _vertices(n)
-    return (1.0 + (n / (params.v * t)) * (X @ V.T)) / (n + 1)
+    W = 1.0 + (n / (params.v * t)) * (_vertices(n) @ X.T)
+    W /= n + 1
+    return W.T

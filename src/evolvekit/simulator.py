@@ -238,6 +238,14 @@ class SimplexCells:
     t: float
     resolution: int
     keys: tuple = field(repr=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # cell index of each key read in base m, else -1
+        if self.params.n > 1:
+            m, n = self.resolution, self.params.n
+            table = np.full(m ** (n + 1), -1, dtype=np.int64)
+            table[np.array(self.keys) @ m ** np.arange(n + 1)] = np.arange(len(self.keys))
+            object.__setattr__(self, "_table", table)
 
     @property
     def count(self) -> int:
@@ -256,11 +264,7 @@ class SimplexCells:
         for row in np.nonzero(over)[0]:  # exact lattice hits, measure zero
             while c[row].sum() > m - 1:
                 c[row, int(np.argmax(c[row]))] -= 1
-        powers = m ** np.arange(self.params.n + 1, dtype=np.int64)
-        table = np.full(m ** (self.params.n + 1), -1, dtype=np.int64)
-        for i, key in enumerate(self.keys):
-            table[int(np.dot(key, powers))] = i
-        return table[c @ powers]
+        return self._table[c @ (m ** np.arange(self.params.n + 1, dtype=np.int64))]
 
 
 def _lattice_keys(n: int, m: int) -> tuple:

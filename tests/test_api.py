@@ -1,11 +1,20 @@
 import importlib
+import importlib.util
+import pathlib
 
 import pytest
 
 import evolvekit
 
 MODULES = ["cli", "density", "geometry", "simulator", "special_functions", "verification"]
-RETIRED = ["TimeJet", "jet_of_hyper_bessel", "YCoordinates", "to_y_coordinates"]
+RETIRED = [
+    "TimeJet",
+    "jet_of_hyper_bessel",
+    "YCoordinates",
+    "to_y_coordinates",
+    "OutsideSupportError",
+]
+SPANS_FILE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 @pytest.mark.parametrize("module", [None] + MODULES)
@@ -20,3 +29,24 @@ def test_retired_names_are_gone():
         for name in RETIRED:
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
             assert name not in getattr(mod, "__all__", [])
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS_FILE)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark times each layer by wrapping these names; a target that no
+    # longer resolves turns its per-layer metric into None without an error
+    targets = [t for names, _ in _load_spans().SPANS.values() for t in names]
+    assert "evolvekit.density:classify_batch" in targets
+    assert "evolvekit.density:barycentric_coordinates" in targets
+    for target in targets:
+        module_name, path = target.split(":")
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), target

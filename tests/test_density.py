@@ -22,7 +22,16 @@ from evolvekit.density import (
     remark_constant_check,
     _window_terms,
 )
-from evolvekit.geometry import EvolutionParams, Membership, vertices_at_time, volume
+from evolvekit.geometry import (
+    EPS_GEO,
+    EvolutionParams,
+    Membership,
+    _upper_affine,
+    _vertices,
+    _y_affine,
+    vertices_at_time,
+    volume,
+)
 from evolvekit.special_functions import DerivedConstants, _h_slice
 
 
@@ -435,3 +444,120 @@ class TestRemarkConstant:
         for t in (0.3, 1.0, 4.0):
             closed, via_volume = remark_constant_check(params, t)
             assert closed == pytest.approx(via_volume, rel=1e-12)
+
+
+# Verbatim copy of the (N, n+1)-layout _window_sums that preceded the
+# row-major layout, and the density math of that layout written out with it.
+def _reference_window_sums(u: np.ndarray) -> np.ndarray:
+    """Cyclic-window products e_m(u), m = 0..n, shape (n+1, N); e_0 = n+1."""
+    nplus1 = u.shape[1]
+    out = np.empty((nplus1, u.shape[0]))
+    out[0] = nplus1
+    windows = np.ones_like(u)
+    for m in range(1, nplus1):
+        for i0 in range(nplus1):
+            windows[:, i0] *= u[:, (i0 + m - 1) % nplus1]
+        out[m] = windows.sum(axis=1)
+    return out
+
+
+def _reference_density_batch(params, X, t, tol=1e-12):
+    n = params.n
+    vt = params.v * t
+    M, s = _y_affine(n)
+    U, c = _upper_affine(n)
+    margins = np.concatenate([X @ M.T + s * vt, X @ U.T + c * vt], axis=1)
+    inside = margins.min(axis=1) > EPS_GEO * vt
+    values = np.zeros(len(X))
+    if inside.any():
+        w = (1.0 + (n / vt) * (X[inside] @ _vertices(n).T)) / (n + 1)
+        u = np.clip(params.lam * t * w, 0.0, None)
+        p = np.prod(u, axis=1)
+        e = _reference_window_sums(u)
+        scale = params.lam**n / (n + 1)
+        terms = np.empty_like(e)
+        for m in range(n + 1):
+            terms[m] = scale * e[m] * _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
+        values[inside] = DerivedConstants.from_params(params).prefactor * terms.sum(axis=0)
+    return values
+
+
+def _grid_points(params, t, count, seed):
+    """Dirichlet points of T_vt with 10% pushed just outside one facet."""
+    n = params.n
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n + 1), size=count)
+    rows = np.nonzero(rng.random(count) < 0.1)[0]
+    r = rng.integers(0, n + 1, size=len(rows))
+    delta = rng.uniform(1e-4, 1e-2, size=len(rows))
+    w[rows] *= ((1 + delta) / (1 - w[rows, r]))[:, None]
+    w[rows, r] = -delta
+    return w @ vertices_at_time(params, t)
+
+
+class TestRowMajorLayoutPins:
+    """density_batch in the (k, N) layout against the (N, k) reference math."""
+
+    RATES = {1.0: (1.0, 1.0), 5.0: (2.0, 0.5), 20.0: (0.5, 2.0), 800.0: (1.0, 1.0)}
+
+    @pytest.mark.parametrize(
+        "n, lt",
+        [(n, lt) for n in range(1, 9) for lt in (1.0, 5.0, 20.0)]
+        + [(n, 800.0) for n in (1, 2, 3)],
+    )
+    def test_density_batch_matches_reference(self, n, lt):
+        lam, v = self.RATES[lt]
+        params = EvolutionParams(n=n, lam=lam, v=v)
+        t = lt / lam
+        X = _grid_points(params, t, 4000, seed=10 * n + int(lt))
+        got = density_batch(params, X, t)
+        ref = _reference_density_batch(params, X, t)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
+        assert np.count_nonzero(ref) > 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_window_sums_match_reference(self, n):
+        from evolvekit.density import _window_sums
+
+        rng = np.random.default_rng(n)
+        u = rng.uniform(0.0, 3.0, size=(1000, n + 1))
+        got = _window_sums(np.ascontiguousarray(u.T))
+        ref = _reference_window_sums(u)
+        assert got.shape == ref.shape == (n + 1, 1000)
+        assert np.allclose(got, ref, rtol=2e-15, atol=0.0)
+
+
+@st.composite
+def relabelling_cases(draw):
+    """Parameters with n <= 5 and lam t <= 20, and interior barycentric
+    weights bounded away from the faces."""
+    n = draw(st.integers(1, 5))
+    lam = draw(st.floats(0.05, 20.0))
+    v = draw(st.floats(0.1, 10.0))
+    lt = draw(st.floats(1e-3, 20.0))
+    raw = draw(
+        st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    w = np.array(raw) + 1e-3
+    w /= w.sum(axis=1, keepdims=True)
+    w = 0.98 * w + 0.02 / (n + 1)
+    return EvolutionParams(n=n, lam=lam, v=v), lt / lam, w
+
+
+class TestCyclicRelabelling:
+    @PROPERTY_SETTINGS
+    @given(relabelling_cases())
+    def test_rotated_weights_give_the_same_density(self, case):
+        # e_m(u) and p = prod(u) are invariant under a cyclic shift of the
+        # sojourn variables, so the density is too
+        params, t, w = case
+        verts = vertices_at_time(params, t)
+        f = density_batch(params, w @ verts, t)
+        g = density_batch(params, np.roll(w, 1, axis=1) @ verts, t)
+        assert np.all(f > 0.0)
+        np.testing.assert_allclose(g, f, rtol=1e-12, atol=0.0)

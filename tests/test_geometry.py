@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evolvekit.geometry import (
+    EPS_GEO,
     EvolutionParams,
     Membership,
     barycentric_coordinates,
@@ -13,6 +14,9 @@ from evolvekit.geometry import (
     support_margins,
     vertices_at_time,
     volume,
+    _as_points,
+    _upper_affine,
+    _y_affine,
 )
 
 
@@ -72,6 +76,14 @@ class TestSupportContains:
         p = params(2)
         assert support_contains(p, [0.0, 0.0], 0.0) is Membership.BOUNDARY
         assert support_contains(p, [1e-8, 0.0], 0.0) is Membership.OUTSIDE
+
+    def test_nan_point_is_outside(self):
+        # a NaN margin satisfies no support inequality
+        p = params(2)
+        for t in (0.0, 1.0):
+            got = classify_batch(p, [[math.nan, 0.0], [0.0, 0.0]], t)
+            assert got[0] is Membership.OUTSIDE
+        assert support_contains(p, [0.0, math.nan], 1.0) is Membership.OUTSIDE
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -210,3 +222,115 @@ class TestParamsValidation:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             EvolutionParams(**kwargs)
+
+
+# Verbatim copies of the (N, 2n)-layout support_margins and classify_batch
+# that preceded the row-major (2n, N) layout; the pins below hold the current
+# functions to them.
+def _reference_support_margins(params, x, t):
+    X = _as_points(params, x)
+    n = params.n
+    M, s = _y_affine(n)
+    U, u = _upper_affine(n)
+    vt = params.v * t
+    Y = X @ M.T + s * vt
+    if U.shape[0]:
+        extra = X @ U.T + u * vt
+        return np.concatenate([Y, extra], axis=1)
+    return Y
+
+
+def _reference_classify_batch(params, x, t):
+    X = _as_points(params, x)
+    if t < 0:
+        raise ValueError(f"time t must be >= 0, got {t}")
+    if t == 0:
+        at_origin = np.max(np.abs(X), axis=1) == 0.0
+        out = np.where(at_origin, Membership.BOUNDARY, Membership.OUTSIDE)
+        return out
+    margins = _reference_support_margins(params, X, t)
+    eps = EPS_GEO * max(params.v * t, np.finfo(float).tiny)
+    lo = margins.min(axis=1)
+    result = np.empty(len(X), dtype=object)
+    result[lo > eps] = Membership.INSIDE
+    result[(lo <= eps) & (lo >= -eps)] = Membership.BOUNDARY
+    result[lo < -eps] = Membership.OUTSIDE
+    return result
+
+
+def _pin_points(p, t, count, seed):
+    """Dirichlet points of T_vt with 10% pushed outside one facet, plus
+    points at +-0.5 eps and +-2 eps from every support hyperplane, where
+    eps = EPS_GEO * v t is the boundary band."""
+    n = p.n
+    vt = p.v * t
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n + 1), size=count)
+    rows = np.nonzero(rng.random(count) < 0.1)[0]
+    r = rng.integers(0, n + 1, size=len(rows))
+    delta = rng.uniform(1e-4, 1e-2, size=len(rows))
+    w[rows] *= ((1 + delta) / (1 - w[rows, r]))[:, None]
+    w[rows, r] = -delta
+    X = w @ vertices_at_time(p, t)
+    M, s = _y_affine(n)
+    U, u = _upper_affine(n)
+    eps = EPS_GEO * vt
+    near = []
+    for g, c in zip(np.vstack([M, U]), np.concatenate([s, u])):
+        base = X[:20] - np.outer(X[:20] @ g + c * vt, g) / (g @ g)
+        for k in (-2.0, -0.5, 0.5, 2.0):
+            near.append(base + (k * eps / (g @ g)) * g)
+    return np.vstack([X] + near)
+
+
+class TestRowMajorLayoutPins:
+    """The (k, N) layout of the density path changes no classification, margin
+    or weight of the (N, k) code it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_classify_matches_reference(self, n):
+        p = params(n, lam=1.3, v=0.7)
+        for t in (0.4, 1.7, 30.0):
+            X = _pin_points(p, t, 3000, seed=100 + n)
+            got = classify_batch(p, X, t)
+            ref = _reference_classify_batch(p, X, t)
+            assert got.shape == ref.shape == (len(X),)
+            assert all(isinstance(m, Membership) for m in got)
+            assert np.array_equal(got, ref)
+            # the facet offsets reach every class
+            assert {m for m in got} == set(Membership)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_t_zero_rule_matches_reference(self, n):
+        p = params(n)
+        X = np.zeros((4, n))
+        X[1, 0] = 1e-300
+        X[2, -1] = -5e-324
+        X[3] = 1.0
+        got = classify_batch(p, X, 0.0)
+        assert np.array_equal(got, _reference_classify_batch(p, X, 0.0))
+        assert list(got) == [Membership.BOUNDARY] + [Membership.OUTSIDE] * 3
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_margins_match_reference(self, n):
+        p = params(n, v=1.9)
+        t = 0.6
+        X = _pin_points(p, t, 2000, seed=200 + n)
+        got = support_margins(p, X, t)
+        ref = _reference_support_margins(p, X, t)
+        assert got.shape == ref.shape == (len(X), 2 * n)
+        assert np.allclose(got, ref, rtol=0.0, atol=4e-16 * p.v * t)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_barycentric_shape_and_rows(self, n):
+        p = params(n, v=1.1)
+        t = 2.3
+        X = _pin_points(p, t, 500, seed=300 + n)
+        w = barycentric_coordinates(p, X, t)
+        assert w.shape == (len(X), n + 1)
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        V = build_simplex(n).vertices
+        ref = (1.0 + (n / (p.v * t)) * (X @ V.T)) / (n + 1)
+        assert np.allclose(w, ref, rtol=0.0, atol=4e-16)
+        # one point alone maps as it does inside the batch
+        assert np.allclose(barycentric_coordinates(p, X[7], t), w[7:8], rtol=0.0, atol=4e-16)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from scipy.stats import kstest
 
 from evolvekit.density import ac_mass
-from evolvekit.geometry import EvolutionParams, support_margins, vertices_at_time
+from evolvekit.geometry import (
+    EvolutionParams,
+    barycentric_coordinates,
+    support_margins,
+    vertices_at_time,
+)
 from evolvekit.simulator import (
     PathDataset,
     SimulationConfig,
@@ -175,6 +181,38 @@ class TestSimplexCells:
         cells = simplex_cells(p, 1.0, 4)
         # compositions of 3, 2, 1 into four nonnegative parts
         assert cells.count == 20 + 10 + 4
+
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (2, 8), (3, 4), (3, 8)])
+    def test_assign_matches_reference(self, n, m):
+        # reference: the lookup table rebuilt key by key on every call
+        p = params(n, v=1.3)
+        t = 0.7
+        cells = simplex_cells(p, t, m)
+
+        def reference(x):
+            w = barycentric_coordinates(p, x, t)
+            c = np.floor(m * np.clip(w, 0.0, 1.0 - 1e-12)).astype(np.int64)
+            over = c.sum(axis=1) > m - 1
+            for row in np.nonzero(over)[0]:
+                while c[row].sum() > m - 1:
+                    c[row, int(np.argmax(c[row]))] -= 1
+            powers = m ** np.arange(n + 1, dtype=np.int64)
+            table = np.full(m ** (n + 1), -1, dtype=np.int64)
+            for i, key in enumerate(cells.keys):
+                table[int(np.dot(key, powers))] = i
+            return table[c @ powers]
+
+        rng = np.random.default_rng(10 * n + m)
+        w = rng.dirichlet(np.ones(n + 1), size=20_000)
+        # lattice points c / m with sum(c) = m, where the floor keys overshoot
+        c = np.array(list(itertools.product(range(m + 1), repeat=n + 1)))
+        w = np.vstack([w, c[c.sum(axis=1) == m] / m])
+        pts = w @ vertices_at_time(p, t)
+        got = cells.assign(pts)
+        assert np.array_equal(got, reference(pts))
+        assert got.min() >= 0 and len(np.unique(got)) == cells.count
+        assert np.array_equal(cells.assign(pts[:100]), got[:100])
 
 
 class TestHistogramFit:
