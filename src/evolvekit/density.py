@@ -97,10 +97,13 @@ def boundary_probability(params: EvolutionParams, t: float) -> float:
 
     Equals 1 at t = 0 and decreases strictly to 0; the k-th summand is the
     probability of sitting on a k-dimensional face of the reachable simplex.
-    Computed as the regularized upper incomplete gamma function Q(n, lam t).
+    Computed as the regularized upper incomplete gamma function Q(n, lam t);
+    at n = 1 as exp(-lam t), which scipy's Q(1, 1) misses by 3 ulps.
     """
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
+    if params.n == 1:
+        return math.exp(-params.lam * t)
     return float(gammaincc(params.n, params.lam * t))
 
 

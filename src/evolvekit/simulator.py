@@ -10,6 +10,14 @@ Reproducibility contract: samples are generated in fixed blocks of
 seeded with SeedSequence((seed, j)).  Batches are therefore bit-identical
 for a given seed regardless of how many workers execute the blocks, and
 results are ordered by sample index.
+
+One path loop, ``_sample_paths``, serves ``simulate_batch`` (a block at a
+time) and ``simulate_path`` (one path on the caller's generator).  Running
+paths stay compacted in sample order as (n, running) position rows; after k
+switches a path's direction is (d0 + k) mod (n+1), a column of the rolled
+direction table.  Each iteration draws one exponential per running path in
+sample order and applies ``pos += (v * min(dt, rem)) * tau[d]; rem -= dt``,
+so the per-block streams and the output bits do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -112,30 +120,56 @@ def simulate_path(
     params: EvolutionParams, config: SimulationConfig, rng: np.random.Generator
 ) -> PathSample:
     """Sample one endpoint: exponential(lam) holding times, cyclic successor,
-    speed v, stopped exactly at the horizon."""
+    speed v, stopped exactly at the horizon.  Draws from ``rng`` through the
+    same path loop as ``simulate_batch``."""
     _check_direction(params, config)
-    n = params.n
-    directions = vertices_at_time(params, 1.0) / params.v  # unit rows
-    if config.initial_direction is None:
-        d = int(rng.integers(0, n + 1))
-    else:
-        d = config.initial_direction
-    init = d
-    pos = np.zeros(n) if config.start_point is None else config.start_point.copy()
-    remaining = config.horizon
-    switches = 0
-    while True:
-        dt = rng.exponential(1.0 / params.lam)
-        if dt >= remaining:
-            pos = pos + params.v * remaining * directions[d]
-            break
-        pos = pos + params.v * dt * directions[d]
-        remaining -= dt
-        switches += 1
-        d = (d + 1) % (n + 1)
+    pos, switches, init, current = _sample_paths(params, config, rng, 1)
     return PathSample(
-        position=pos, switches=switches, current_direction=d, initial_direction=init
+        position=pos[0],
+        switches=int(switches[0]),
+        current_direction=int(current[0]),
+        initial_direction=int(init[0]),
     )
+
+
+def _sample_paths(
+    params: EvolutionParams, config: SimulationConfig, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoints of ``count`` paths drawn from ``rng``: positions (count, n),
+    switches, initial and current directions.  Running paths are compressed
+    only on iterations where some path stops."""
+    n = params.n
+    unit = (vertices_at_time(params, 1.0) / params.v).T  # column d is direction d
+    cycle = np.hstack((unit, unit))  # cycle[:, s + d] = unit[:, (s + d) mod (n+1)]
+    if config.initial_direction is None:
+        init = rng.integers(0, n + 1, size=count)
+    else:
+        init = np.full(count, config.initial_direction, dtype=np.int64)
+    out = np.empty((count, n))
+    switches = np.empty(count, dtype=np.int64)
+    order, d0 = np.arange(count), init
+    pos = np.zeros((n, count))
+    remaining = np.full(count, float(config.horizon))
+    k = 0
+    while order.size:
+        dt = rng.exponential(1.0 / params.lam, size=order.size)
+        step = params.v * np.minimum(dt, remaining)
+        table = cycle[:, k % (n + 1) :]
+        for i in range(n):
+            pos[i] += step * table[i].take(d0)
+        keep = dt < remaining
+        if not keep.all():
+            stop = ~keep
+            done = order[stop]
+            out[done] = pos.compress(stop, axis=1).T
+            switches[done] = k
+            order, d0, remaining, dt = order[keep], d0[keep], remaining[keep], dt[keep]
+            pos = pos.compress(keep, axis=1)
+        remaining -= dt
+        k += 1
+    if config.start_point is not None:
+        out += config.start_point
+    return out, switches, init, (init + switches) % (n + 1)
 
 
 def _simulate_block(
@@ -145,30 +179,7 @@ def _simulate_block(
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=(seed, block_index)))
     )
-    n = params.n
-    tau = vertices_at_time(params, 1.0) / params.v
-    if config.initial_direction is None:
-        d = rng.integers(0, n + 1, size=count)
-    else:
-        d = np.full(count, config.initial_direction, dtype=np.int64)
-    init = d.copy()
-    pos = np.zeros((count, n))
-    remaining = np.full(count, float(config.horizon))
-    switches = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    while active.size:
-        dt = rng.exponential(1.0 / params.lam, size=active.size)
-        step = np.minimum(dt, remaining[active])
-        pos[active] += params.v * step[:, None] * tau[d[active]]
-        keep = dt < remaining[active]
-        idx = active[keep]
-        remaining[idx] -= dt[keep]
-        switches[idx] += 1
-        d[idx] = (d[idx] + 1) % (n + 1)
-        active = idx
-    if config.start_point is not None:
-        pos += config.start_point
-    return pos, switches, init, d
+    return _sample_paths(params, config, rng, count)
 
 
 def _worker_count(workers: int | None) -> int:

@@ -345,6 +345,12 @@ class TestBoundaryProbability:
         got = boundary_probability(EvolutionParams(n=1, lam=1.0, v=1.0), 1.0)
         assert got == pytest.approx(math.exp(-1.0), rel=1e-14)
 
+    @pytest.mark.parametrize("lam, t", [(2.0, 0.25), (1.0, 1.0), (4.0, 2.5), (0.5, 1400.0)])
+    def test_line_value_correctly_rounded(self, lam, t):
+        # lam t = 0.5, 1, 10, 700: the single term exp(-lam t), to the last bit
+        got = boundary_probability(EvolutionParams(n=1, lam=lam, v=1.0), t)
+        assert got == math.exp(-lam * t)
+
     def test_three_dimensional_value(self):
         got = boundary_probability(EvolutionParams(n=3, lam=2.0, v=1.0), 1.0)
         assert got == pytest.approx(math.exp(-2.0) * (1 + 2 + 2), rel=1e-14)

@@ -13,8 +13,10 @@ from evolvekit.geometry import (
     vertices_at_time,
 )
 from evolvekit.simulator import (
+    BLOCK_SIZE,
     PathDataset,
     SimulationConfig,
+    _simulate_block,
     histogram_fit,
     simplex_cells,
     simulate_batch,
@@ -24,6 +26,40 @@ from evolvekit.simulator import (
 
 def params(n, lam=1.0, v=1.0):
     return EvolutionParams(n=n, lam=lam, v=v)
+
+
+def _reference_block(
+    params: EvolutionParams, config: SimulationConfig, block_index: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the per-path fancy-indexed loop, kept verbatim as the bit-level reference
+    seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=(seed, block_index)))
+    )
+    n = params.n
+    tau = vertices_at_time(params, 1.0) / params.v
+    if config.initial_direction is None:
+        d = rng.integers(0, n + 1, size=count)
+    else:
+        d = np.full(count, config.initial_direction, dtype=np.int64)
+    init = d.copy()
+    pos = np.zeros((count, n))
+    remaining = np.full(count, float(config.horizon))
+    switches = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    while active.size:
+        dt = rng.exponential(1.0 / params.lam, size=active.size)
+        step = np.minimum(dt, remaining[active])
+        pos[active] += params.v * step[:, None] * tau[d[active]]
+        keep = dt < remaining[active]
+        idx = active[keep]
+        remaining[idx] -= dt[keep]
+        switches[idx] += 1
+        d[idx] = (d[idx] + 1) % (n + 1)
+        active = idx
+    if config.start_point is not None:
+        pos += config.start_point
+    return pos, switches, init, d
 
 
 class TestSimulatePath:
@@ -77,7 +113,39 @@ class TestSimulatePath:
             )
 
 
+class TestBlockPin:
+    """The block sampler against the per-path reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("lam, t", [(1.5, 0.0), (0.5, 2.0), (2.0, 3.65), (4.0, 25.0)])
+    def test_bits_match_reference(self, n, lam, t):
+        p = params(n, lam=lam, v=1.7)
+        start = np.linspace(-2.5, 4.0, n)
+        configs = [
+            SimulationConfig(seed=17 + n, samples=1, horizon=t),
+            SimulationConfig(seed=2**64 + 5, samples=1, horizon=t, initial_direction=n),
+            SimulationConfig(seed=-3, samples=1, horizon=t, start_point=start),
+            SimulationConfig(seed=n, samples=1, horizon=t, initial_direction=0, start_point=start),
+        ]
+        for config in configs:
+            for block_index, count in [(0, 1), (3, 1237)]:
+                got = _simulate_block(p, config, block_index, count)
+                want = _reference_block(p, config, block_index, count)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+
+
 class TestSimulateBatch:
+    def test_positions_layout(self):
+        for n in (1, 3):
+            config = SimulationConfig(seed=4, samples=BLOCK_SIZE + 3, horizon=2.0)
+            data = simulate_batch(params(n), config, workers=1)
+            assert data.positions.shape == (BLOCK_SIZE + 3, n)
+            assert data.positions.flags.c_contiguous
+            for arr in (data.positions, data.switches, data.initial_direction, data.current_direction):
+                assert not arr.flags.writeable
+
     def test_same_seed_identical(self):
         p = params(2)
         config = SimulationConfig(seed=7, samples=70_000, horizon=1.0)
