@@ -13,8 +13,8 @@ by time t form the scaled simplex T_vt with vertices v*t*tau_i, and
 
 Two coordinate systems on T_vt are provided:
 
-* the n+1 affine facet coordinates y_1, ..., y_(n+1), each vanishing on one
-  facet and positive inside (the first n+1 columns of ``support_margins``);
+* the n+1 affine facet coordinates y_1, ..., y_(n+1) (``support_margins``),
+  each vanishing on one facet and positive inside;
   z = (y_1 ... y_(n+1))^(1/(n+1)) is the radial argument of the
   hyper-Bessel kernel;
 
@@ -23,8 +23,11 @@ Two coordinate systems on T_vt are provided:
   trajectory ending at x spent moving toward vertex r, so
   w_r = (1 + n <tau_r, x> / (v t)) / (n + 1).
 
-Batch results have shape (N, k), k <= 2n, but are computed as C-contiguous
-(k, N) arrays and returned as transposed views: for so few columns, whole-row
+Each y is a positive multiple of one weight, so the open T_vt is "all n+1
+weights > 0" and ``classify_batch`` reads membership from the weights.
+
+Batch results have shape (N, n+1), but are computed as C-contiguous (n+1, N)
+arrays and returned as transposed views: for so few columns, whole-row
 operations over N points are what make a batch cheap; hot paths take ``.T``.
 
 Everything here is a pure function of its arguments; returned arrays are
@@ -53,7 +56,7 @@ __all__ = [
     "volume",
 ]
 
-#: relative scale for boundary classification, applied to max(v*t, tiny)
+#: boundary band of the least facet coordinate, in units of v*t
 EPS_GEO = 1e-9
 
 
@@ -141,43 +144,12 @@ def _y_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _upper_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the remaining chained upper bounds: margins = U @ x + u * (v*t).
-
-    Row 0 is vt - x_1; rows k-1 (k = 2..n-1) are the upper bounds on x_k.
-    The upper bound on x_n equals y_(n+1) and lives in ``_y_affine``.
-    """
-    rows = max(n - 1, 0)
-    U = np.zeros((rows, n))
-    u = np.zeros(rows)
-    if rows == 0:
-        U.setflags(write=False)
-        u.setflags(write=False)
-        return U, u
-    U[0, 0] = -1.0
-    u[0] = 1.0
-
-    def c(k: int, j: int) -> float:
-        return math.sqrt((n - k + 1) * (n - k + 2) / ((n - j + 1) * (n - j + 2)))
-
-    for k in range(2, n):
-        U[k - 1, k - 1] = -1.0
-        for j in range(1, k):
-            U[k - 1, j - 1] = -c(k, j)
-        u[k - 1] = c(k, 1)
-    U.setflags(write=False)
-    u.setflags(write=False)
-    return U, u
-
-
-@lru_cache(maxsize=None)
-def _support_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2n margins as one map, A @ x + c * (v*t): _y_affine then _upper_affine."""
-    A = np.vstack([_y_affine(n)[0], _upper_affine(n)[0]])
-    c = np.concatenate([_y_affine(n)[1], _upper_affine(n)[1]])
-    A.setflags(write=False)
-    c.setflags(write=False)
-    return A, c
+def _facet_scale(n: int) -> np.ndarray:
+    """k_r, shape (n+1, 1): the facet coordinate positive at vertex r is k_r * v*t * w_r."""
+    M, s = _y_affine(n)
+    k = (_vertices(n) @ M.T + s).max(axis=1)[:, None]
+    k.setflags(write=False)
+    return k
 
 
 def build_simplex(n: int) -> SimplexGeometry:
@@ -203,41 +175,43 @@ def _as_points(params: EvolutionParams, x) -> np.ndarray:
 
 
 def support_margins(params: EvolutionParams, x, t: float) -> np.ndarray:
-    """Signed margins of the 2n chained support inequalities, batch-aware.
-
-    Rows are points, columns the inequalities: first the n+1 facet
-    coordinates y_i (lower bounds plus the last upper bound), then the n-1
-    remaining chained upper bounds.  All margins positive means inside.
-    The result is the transposed view of a C-contiguous (2n, N) array.
-    """
-    X = _as_points(params, x)
-    A, c = _support_affine(params.n)
-    margins = A @ X.T
-    margins += (c * (params.v * t))[:, None]
-    return margins.T
+    """The n+1 facet coordinates y_1 ... y_(n+1) of points, shape (N, n+1):
+    each vanishes on one facet of T_vt and is positive inside.  The result is
+    the transposed view of a C-contiguous (n+1, N) array."""
+    M, s = _y_affine(params.n)
+    return (M @ _as_points(params, x).T + (s * (params.v * t))[:, None]).T
 
 
 #: Membership by int8 code (lo >= -eps) + (lo > eps) of the least margin lo
 _BY_CODE = np.array([Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE], dtype=object)
 
 
+def _membership_codes(params: EvolutionParams, x, t: float, barycentric):
+    """int8 code (lo >= -eps) + (lo > eps) of each point, and its (n+1, N)
+    weights from ``barycentric``: the caller's ``barycentric_coordinates``, so
+    that a wrapper on the caller's name sees the call.  lo = min_r k_r w_r is
+    the least facet coordinate over v*t, with eps = EPS_GEO; below the smallest
+    normal v*t the simplex is the origin: lo = -max|x|, eps = 0, no weights."""
+    X = _as_points(params, x)
+    if params.v * t < np.finfo(float).tiny:
+        lo, eps, W = -np.abs(X).max(axis=1), 0.0, None
+    else:
+        W = barycentric(params, X, t).T
+        lo, eps = (W * _facet_scale(params.n)).min(axis=0), EPS_GEO
+    return np.add(lo >= -eps, lo > eps, dtype=np.int8), W
+
+
 def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
     """Vectorized membership test against the reachable simplex at time t.
 
-    Returns an array of ``Membership``.  Boundary means some inequality is
-    within EPS_GEO * max(v*t, tiny) of equality while none is violated beyond
-    that tolerance.  At t = 0 the simplex degenerates: only the origin is
-    boundary, everything else outside.
+    Returns an array of ``Membership``.  Boundary means the least facet
+    coordinate (``support_margins``) is within EPS_GEO * v*t of 0.  Where
+    v*t is 0 or below the smallest normal float the simplex degenerates to
+    the origin: it alone is boundary, everything else outside.
     """
-    X = _as_points(params, x)
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    if t == 0:  # the origin is the only point with margin 0 >= -0
-        lo, eps = -np.abs(X).max(axis=1), 0.0
-    else:
-        lo = support_margins(params, X, t).T.min(axis=0)
-        eps = EPS_GEO * max(params.v * t, np.finfo(float).tiny)
-    return _BY_CODE[np.add(lo >= -eps, lo > eps, dtype=np.int8)]
+    return _BY_CODE[_membership_codes(params, x, t, barycentric_coordinates)[0]]
 
 
 def support_contains(params: EvolutionParams, x, t: float) -> Membership:

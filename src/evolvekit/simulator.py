@@ -66,6 +66,8 @@ class SimulationConfig:
     def __post_init__(self):
         if int(self.samples) != self.samples or self.samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {self.samples}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
         if self.horizon < 0 or not math.isfinite(self.horizon):
             raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
         if self.initial_direction is not None and self.initial_direction < 0:
@@ -175,9 +177,8 @@ def _sample_paths(
 def _simulate_block(
     params: EvolutionParams, config: SimulationConfig, block_index: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    seed = int(config.seed) & 0xFFFFFFFFFFFFFFFF
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(seed, block_index)))
+        np.random.Philox(np.random.SeedSequence(entropy=(int(config.seed), block_index)))
     )
     return _sample_paths(params, config, rng, count)
 

@@ -270,8 +270,7 @@ def check_bessel_integral(
 
     # the kernel is the top slice at p = pde_constant * prod y
     def kernel_batch(pts: np.ndarray) -> np.ndarray:
-        margins = support_margins(params, pts, t)
-        y = np.clip(margins[:, : n + 1], 0.0, None)
+        y = np.clip(support_margins(params, pts, t), 0.0, None)
         return _h_slice(n, n + 1, np.prod(y, axis=1) * consts.pde_constant, 1e-14, 0.0)[0]
 
     est = integrate_over_support(params, t, kernel_batch, count, rng)

@@ -246,6 +246,15 @@ class TestSimulateCommand:
             run_cli(["simulate", "--n", "1", "--t", "1", "--samples", "10", "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seed", [str(2**64 + 5), "-3"])
+    def test_seed_outside_64_bits_usage_error(self, tmp_path, seed):
+        out = tmp_path / "paths.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--n", "1", "--t", "1", "--samples", "10", "--seed", seed,
+                     "--out", str(out)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_policy_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(

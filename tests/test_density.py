@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,19 +21,20 @@ from evolvekit.density import (
     jet_operator_density,
     normalization_series_identity,
     remark_constant_check,
-    _window_terms,
+    _window_sums,
 )
 from evolvekit.geometry import (
     EPS_GEO,
     EvolutionParams,
     Membership,
-    _upper_affine,
+    barycentric_coordinates,
     _vertices,
     _y_affine,
     vertices_at_time,
     volume,
 )
 from evolvekit.special_functions import DerivedConstants, _h_slice
+from test_geometry import _upper_affine
 
 
 def telegraph_oracle(x, t, lam, v):
@@ -166,7 +168,12 @@ class TestDensityGeneral:
         verts = vertices_at_time(params, t)
         edge_mid = 0.5 * (verts[0] + verts[1])
         consts = DerivedConstants.from_params(params)
-        limit = consts.prefactor * _window_terms(params, edge_mid[None, :], t, 1e-14).sum()
+        w = barycentric_coordinates(params, edge_mid, t).T
+        u = np.clip(params.lam * t * w, 0.0, None)  # the zero weight may round below 0
+        windows = _window_sums(u)[:, 0] * params.lam**2 / 3
+        p = np.prod(u, axis=0)
+        slices = [_h_slice(2, 3 - m, p, 1e-14, params.lam * t)[0][0] for m in range(3)]
+        limit = consts.prefactor * float(windows @ slices)
         deltas = np.array([1e-3, 1e-5, 1e-7])
         approached = density_batch(params, np.outer(1 - deltas, edge_mid), t)
         errors = np.abs(approached - limit)
@@ -567,3 +574,34 @@ class TestCyclicRelabelling:
         g = density_batch(params, np.roll(w, 1, axis=1) @ verts, t)
         assert np.all(f > 0.0)
         np.testing.assert_allclose(g, f, rtol=1e-12, atol=0.0)
+
+
+class TestVtUnderflow:
+    """v t below the smallest normal float: the simplex is the origin, on
+    the boundary, so the density is 0 everywhere."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_vt_zero_density_is_zero(self, n):
+        params = EvolutionParams(n=n, lam=1.0, v=1e-200)
+        t = 1e-200
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(200, n)) * 10.0 ** rng.uniform(-300, 3, size=(200, 1))
+        X[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = density_batch(params, X, t)
+            at_origin = density(params, X[0], t)
+        assert np.array_equal(values, np.zeros(len(X)))
+        assert at_origin.value == 0.0
+        assert at_origin.location is Membership.BOUNDARY
+
+    def test_vt_subnormal_origin_is_boundary(self):
+        # v t = 1e-308 is subnormal: its weights would divide n by it
+        params = EvolutionParams(n=8, lam=1.0, v=1e-154)
+        t = 1e-154
+        assert 0.0 < params.v * t < np.finfo(float).tiny
+        origin = np.zeros(8)
+        assert density_batch(params, origin, t).tolist() == [0.0]
+        got = density(params, origin, t)
+        assert got.value == 0.0
+        assert got.location is Membership.BOUNDARY

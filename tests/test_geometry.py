@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from evolvekit.geometry import (
     vertices_at_time,
     volume,
     _as_points,
-    _upper_affine,
+    _vertices,
     _y_affine,
 )
 
@@ -119,7 +120,7 @@ class TestSupportContains:
 
 
 class TestYCoordinates:
-    """Facet coordinates: the first n+1 columns of ``support_margins``."""
+    """Facet coordinates: ``support_margins``."""
 
     @staticmethod
     def y_of(p, x, t=1.0):
@@ -224,6 +225,39 @@ class TestParamsValidation:
             EvolutionParams(**kwargs)
 
 
+# Verbatim copy of the chained upper-bound rows that classify_batch tested
+# next to the facet coordinates until points were classified from their
+# barycentric weights; TestUpperRowsRedundant shows they never decide INSIDE.
+@lru_cache(maxsize=None)
+def _upper_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the remaining chained upper bounds: margins = U @ x + u * (v*t).
+
+    Row 0 is vt - x_1; rows k-1 (k = 2..n-1) are the upper bounds on x_k.
+    The upper bound on x_n equals y_(n+1) and lives in ``_y_affine``.
+    """
+    rows = max(n - 1, 0)
+    U = np.zeros((rows, n))
+    u = np.zeros(rows)
+    if rows == 0:
+        U.setflags(write=False)
+        u.setflags(write=False)
+        return U, u
+    U[0, 0] = -1.0
+    u[0] = 1.0
+
+    def c(k: int, j: int) -> float:
+        return math.sqrt((n - k + 1) * (n - k + 2) / ((n - j + 1) * (n - j + 2)))
+
+    for k in range(2, n):
+        U[k - 1, k - 1] = -1.0
+        for j in range(1, k):
+            U[k - 1, j - 1] = -c(k, j)
+        u[k - 1] = c(k, 1)
+    U.setflags(write=False)
+    u.setflags(write=False)
+    return U, u
+
+
 # Verbatim copies of the (N, 2n)-layout support_margins and classify_batch
 # that preceded the row-major (2n, N) layout; the pins below hold the current
 # functions to them.
@@ -317,8 +351,8 @@ class TestRowMajorLayoutPins:
         t = 0.6
         X = _pin_points(p, t, 2000, seed=200 + n)
         got = support_margins(p, X, t)
-        ref = _reference_support_margins(p, X, t)
-        assert got.shape == ref.shape == (len(X), 2 * n)
+        ref = _reference_support_margins(p, X, t)[:, : n + 1]
+        assert got.shape == ref.shape == (len(X), n + 1)
         assert np.allclose(got, ref, rtol=0.0, atol=4e-16 * p.v * t)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -334,3 +368,114 @@ class TestRowMajorLayoutPins:
         assert np.allclose(w, ref, rtol=0.0, atol=4e-16)
         # one point alone maps as it does inside the batch
         assert np.allclose(barycentric_coordinates(p, X[7], t), w[7:8], rtol=0.0, atol=4e-16)
+
+
+def _face_points(p, t, count, seed):
+    """Dirichlet points of the closed simplex T_vt, most of them on a face:
+    each row keeps a random subset of its weights, at least one, so every
+    face dimension from vertices (one weight) to the interior is reached."""
+    n = p.n
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n + 1), size=count)
+    keep = rng.random(w.shape) < rng.random((count, 1))
+    keep[np.arange(count), rng.integers(0, n + 1, size=count)] = True
+    w = np.vstack([np.where(keep, w, 0.0), np.eye(n + 1)])
+    w /= w.sum(axis=1, keepdims=True)
+    return w @ vertices_at_time(p, t)
+
+
+class TestUpperRowsRedundant:
+    """On the closed simplex every chained upper margin is at least sqrt(3)
+    times the least facet margin, so the upper rows never decide INSIDE and
+    classifying by the n+1 facet coordinates alone is the same test there."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_row_bound_from_vertex_values(self, n):
+        # on T_vt, x = vt sum_r w_r tau_r and the one facet coordinate that is
+        # positive at vertex r is y = k_r vt w_r; an upper row is affine, so it
+        # equals sum_r H_r y / k_r >= (least y) sum_r H_r / k_r when all H_r >= 0
+        M, s = _y_affine(n)
+        U, u = _upper_affine(n)
+        Y = _vertices(n) @ M.T + s  # Y[r, i]: facet coordinate i at vertex r, vt = 1
+        H = _vertices(n) @ U.T + u  # H[r, j]: upper row j at vertex r, vt = 1
+        k = Y.max(axis=1)
+        assert np.allclose(np.sort(Y, axis=1)[:, :-1], 0.0, rtol=0.0, atol=1e-15)
+        assert H.min() >= -1e-15
+        assert np.all((H / k[:, None]).sum(axis=0) >= math.sqrt(3) * (1 - 1e-15))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_points_of_the_closed_simplex(self, n):
+        p = params(n, lam=1.3, v=0.7)
+        t = 1.9
+        vt = p.v * t
+        X = _face_points(p, t, 3000, seed=500 + n)
+        margins = _reference_support_margins(p, X, t)
+        least = margins[:, : n + 1].min(axis=1)
+        assert least.min() >= -4e-15 * vt
+        assert np.all(margins[:, n + 1 :] >= math.sqrt(3) * least[:, None] - 4e-15 * vt)
+
+
+class TestVtUnderflow:
+    """v t below the smallest normal float: the simplex is the origin."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_vt_zero_only_origin_on_boundary(self, n):
+        p = params(n, v=1e-200)
+        t = 1e-200
+        assert p.v * t == 0.0
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(200, n)) * 10.0 ** rng.uniform(-300, 3, size=(200, 1))
+        X[0] = 0.0
+        got = classify_batch(p, X, t)
+        assert got[0] is Membership.BOUNDARY
+        assert all(m is Membership.OUTSIDE for m in got[1:])
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_vt_subnormal_only_origin_on_boundary(self, n):
+        p = params(n, v=1e-154)
+        t = 1e-154
+        assert 0.0 < p.v * t < np.finfo(float).tiny
+        X = np.zeros((3, n))
+        X[1, 0] = 1e-310
+        X[2] = -1.0
+        got = classify_batch(p, X, t)
+        assert list(got) == [Membership.BOUNDARY] + [Membership.OUTSIDE] * 2
+
+
+class TestFacetBand:
+    """BOUNDARY is the least facet margin within +-EPS_GEO * v t.  Without
+    the chained upper rows, a point outside the closed simplex that only an
+    upper row put beyond the band now reads BOUNDARY; nothing else moves."""
+
+    def test_past_vertex_along_x1_reads_boundary(self):
+        p = params(2, lam=1.3, v=0.7)
+        t = 1.7
+        vt = p.v * t
+        x = vt * _vertices(2)[0] + 1.5 * EPS_GEO * vt * np.array([1.0, 0.0])
+        # the removed row vt - x_1 is -1.5 eps there; the facets stay in the band
+        assert _reference_classify_batch(p, x, t)[0] is Membership.OUTSIDE
+        assert classify_batch(p, x, t)[0] is Membership.BOUNDARY
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_only_outside_to_boundary_differs(self, n):
+        p = params(n, lam=1.3, v=0.7)
+        t = 1.7
+        vt = p.v * t
+        rng = np.random.default_rng(600 + n)
+        # face points pushed out across each upper row by 0.5 to 3 eps
+        faces = _face_points(p, t, 500, seed=700 + n)
+        pushed = [
+            faces - np.outer(rng.uniform(0.5, 3.0, size=len(faces)) * EPS_GEO * vt / (g @ g), g)
+            for g in _upper_affine(n)[0]
+        ]
+        X = np.vstack([_pin_points(p, t, 3000, seed=100 + n), faces] + pushed)
+        got = classify_batch(p, X, t)
+        ref = _reference_classify_batch(p, X, t)
+        moved = got != ref
+        assert all(m is Membership.BOUNDARY for m in got[moved])
+        assert all(m is Membership.OUTSIDE for m in ref[moved])
+        least = _reference_support_margins(p, X, t)[:, : n + 1].min(axis=1)
+        assert np.all(least[moved] < 0.0)
+        # the facet offsets reach every class, and past vertices the case occurs
+        assert {m for m in got} == set(Membership)
+        assert moved.any() == (n >= 2)

@@ -123,8 +123,8 @@ class TestBlockPin:
         start = np.linspace(-2.5, 4.0, n)
         configs = [
             SimulationConfig(seed=17 + n, samples=1, horizon=t),
-            SimulationConfig(seed=2**64 + 5, samples=1, horizon=t, initial_direction=n),
-            SimulationConfig(seed=-3, samples=1, horizon=t, start_point=start),
+            SimulationConfig(seed=5, samples=1, horizon=t, initial_direction=n),
+            SimulationConfig(seed=2**64 - 3, samples=1, horizon=t, start_point=start),
             SimulationConfig(seed=n, samples=1, horizon=t, initial_direction=0, start_point=start),
         ]
         for config in configs:
@@ -341,3 +341,14 @@ class TestConfigValidation:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             SimulationConfig(seed=0, samples=1, horizon=1.0, initial_direction=-2)
+
+    @pytest.mark.parametrize("seed", [2**64 + 5, -3, 2**64, -(2**64)])
+    def test_seed_outside_64_bits(self, seed):
+        # the block streams take the seed as a 64-bit word; 2**64 + 5 would
+        # reproduce seed 5 under a different manifest seed
+        with pytest.raises(ValueError, match="seed"):
+            SimulationConfig(seed=seed, samples=1, horizon=1.0)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert SimulationConfig(seed=seed, samples=1, horizon=1.0).seed == seed
