@@ -61,15 +61,12 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .geometry import (
-    _BY_CODE,
     EvolutionParams,
     Membership,
     barycentric_coordinates,
     classify_batch,
-    support_margins,
+    support_contains,
     volume,
-    _as_points,
-    _membership_codes,
     _y_affine,
 )
 from .special_functions import _SERIES_CAP, DerivedConstants, _h_slice, _kernel_jet_batch
@@ -140,26 +137,6 @@ def _window_sums(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inside_terms(
-    params: EvolutionParams, X, t: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_BY_CODE`` index of each point, and the per-window contributions
-    times exp(-lam t) of the K points inside the open simplex, shape (n+1, K),
-    from their weight rows u = lam t w; row m generalizes lam^(n-m) d^m/dt^m
-    of the kernel (equality holds at n = 1)."""
-    n = params.n
-    codes, W = _membership_codes(params, X, t, barycentric_coordinates)
-    u = np.empty((n + 1, 0)) if W is None else W.compress(codes == 2, axis=1)
-    del W  # the window products below reuse its memory
-    u *= params.lam * t
-    p = np.prod(u, axis=0)
-    terms = _window_sums(u)
-    terms *= params.lam**n / (n + 1)
-    for m in range(n + 1):
-        terms[m] *= _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
-    return codes, terms
-
-
 def density_batch(
     params: EvolutionParams, x, t: float, tol: float = 1e-12
 ) -> np.ndarray:
@@ -167,14 +144,36 @@ def density_batch(
     the open simplex.  ``x`` has shape (N, n); returns shape (N,)."""
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
-    X = _as_points(params, x)
+    X = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("coordinates must be finite")
-    codes, terms = _inside_terms(params, X, t, tol)
+    if X.ndim == 1:
+        X = X[None, :]
+    loc = classify_batch(params, X, t)
+    inside = loc == Membership.INSIDE
     values = np.zeros(len(X))
-    if terms.shape[1]:
-        values[codes == 2] = DerivedConstants.from_params(params).prefactor * terms.sum(axis=0)
+    if inside.any():
+        terms = _window_terms(params, X.compress(inside, axis=0), t, tol)
+        consts = DerivedConstants.from_params(params)
+        values[inside] = consts.prefactor * terms.sum(axis=0)
     return values
+
+
+def _window_terms(
+    params: EvolutionParams, X: np.ndarray, t: float, tol: float
+) -> np.ndarray:
+    """Per-window contributions times exp(-lam t), shape (n+1, N); row m
+    generalizes lam^(n-m) d^m/dt^m of the kernel (equality holds at n = 1)."""
+    n = params.n
+    u = barycentric_coordinates(params, X, t).T
+    u *= params.lam * t
+    np.clip(u, 0.0, None, out=u)
+    p = np.prod(u, axis=0)
+    terms = _window_sums(u)
+    terms *= params.lam**n / (n + 1)
+    for m in range(n + 1):
+        terms[m] *= _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
+    return terms
 
 
 def density(
@@ -184,24 +183,23 @@ def density(
 
     Inside the open simplex the value is
     prefactor * exp(-lam t) * sum(operator_terms); on the boundary and
-    outside the absolutely continuous density is 0 (the boundary carries the
-    singular mass, see ``boundary_probability``).  Location and value come
-    from the barycentric weights, as in ``density_batch``: the value from the
-    exp(-lam t)-scaled terms, which never overflow.  ``operator_terms`` are
-    unscaled: where a term exceeds the float64 range (from about lam t = 709
-    on) it reads inf, and 0 where its scaled form underflowed.
+    outside the absolutely continuous density is 0 (the boundary carries
+    the singular mass, see ``boundary_probability``).  The value comes from
+    the exp(-lam t)-scaled terms, which never overflow; ``operator_terms``
+    are unscaled, so where a term exceeds the float64 range (from about
+    lam t = 709 on) it reads inf, and 0 where its scaled form underflowed.
     """
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
     X = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     if not np.all(np.isfinite(X)):
         raise ValueError("coordinates must be finite")
-    codes, terms = _inside_terms(params, X, t, tol)
-    loc = _BY_CODE[codes[0]]
+    loc = support_contains(params, X[0], t)
     if loc is not Membership.INSIDE:
         return DensityValue(value=0.0, operator_terms=np.zeros(params.n + 1), location=loc)
-    scaled = terms[:, 0]
-    value = DerivedConstants.from_params(params).prefactor * float(scaled.sum())
+    scaled = _window_terms(params, X, t, tol)[:, 0]
+    consts = DerivedConstants.from_params(params)
+    value = consts.prefactor * float(scaled.sum())
     with np.errstate(over="ignore"):
         terms = np.multiply(
             scaled, np.exp(params.lam * t), out=np.zeros_like(scaled), where=scaled > 0.0
@@ -220,11 +218,12 @@ def jet_operator_density(
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
     X = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    if classify_batch(params, X, t)[0] is not Membership.INSIDE:
+    if support_contains(params, X[0], t) is not Membership.INSIDE:
         return 0.0
     n = params.n
-    base = support_margins(params, X, t)
-    slopes = _y_affine(n)[1] * params.v
+    M, s = _y_affine(n)
+    base = X @ M.T + s * (params.v * t)
+    slopes = s * params.v
     consts = DerivedConstants.from_params(params)
     G = _kernel_jet_batch(n, consts.alpha, base, slopes, tol)
     op = sum(

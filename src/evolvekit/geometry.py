@@ -23,8 +23,9 @@ Two coordinate systems on T_vt are provided:
   trajectory ending at x spent moving toward vertex r, so
   w_r = (1 + n <tau_r, x> / (v t)) / (n + 1).
 
-Each y is a positive multiple of one weight, so the open T_vt is "all n+1
-weights > 0" and ``classify_batch`` reads membership from the weights.
+T_vt is the intersection of the n+1 half-spaces y_i >= 0, so
+``classify_batch`` reads membership from the least y.  Each y is a positive
+multiple of one weight, so the open T_vt is also "all n+1 weights > 0".
 
 Batch results have shape (N, n+1), but are computed as C-contiguous (n+1, N)
 arrays and returned as transposed views: for so few columns, whole-row
@@ -143,15 +144,6 @@ def _y_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
     return M, s
 
 
-@lru_cache(maxsize=None)
-def _facet_scale(n: int) -> np.ndarray:
-    """k_r, shape (n+1, 1): the facet coordinate positive at vertex r is k_r * v*t * w_r."""
-    M, s = _y_affine(n)
-    k = (_vertices(n) @ M.T + s).max(axis=1)[:, None]
-    k.setflags(write=False)
-    return k
-
-
 def build_simplex(n: int) -> SimplexGeometry:
     """Direction set of the cyclic motion: n+1 regular-simplex unit vectors.
 
@@ -179,26 +171,13 @@ def support_margins(params: EvolutionParams, x, t: float) -> np.ndarray:
     each vanishes on one facet of T_vt and is positive inside.  The result is
     the transposed view of a C-contiguous (n+1, N) array."""
     M, s = _y_affine(params.n)
-    return (M @ _as_points(params, x).T + (s * (params.v * t))[:, None]).T
+    Y = M @ _as_points(params, x).T
+    Y += (s * (params.v * t))[:, None]
+    return Y.T
 
 
 #: Membership by int8 code (lo >= -eps) + (lo > eps) of the least margin lo
 _BY_CODE = np.array([Membership.OUTSIDE, Membership.BOUNDARY, Membership.INSIDE], dtype=object)
-
-
-def _membership_codes(params: EvolutionParams, x, t: float, barycentric):
-    """int8 code (lo >= -eps) + (lo > eps) of each point, and its (n+1, N)
-    weights from ``barycentric``: the caller's ``barycentric_coordinates``, so
-    that a wrapper on the caller's name sees the call.  lo = min_r k_r w_r is
-    the least facet coordinate over v*t, with eps = EPS_GEO; below the smallest
-    normal v*t the simplex is the origin: lo = -max|x|, eps = 0, no weights."""
-    X = _as_points(params, x)
-    if params.v * t < np.finfo(float).tiny:
-        lo, eps, W = -np.abs(X).max(axis=1), 0.0, None
-    else:
-        W = barycentric(params, X, t).T
-        lo, eps = (W * _facet_scale(params.n)).min(axis=0), EPS_GEO
-    return np.add(lo >= -eps, lo > eps, dtype=np.int8), W
 
 
 def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
@@ -206,12 +185,20 @@ def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
 
     Returns an array of ``Membership``.  Boundary means the least facet
     coordinate (``support_margins``) is within EPS_GEO * v*t of 0.  Where
-    v*t is 0 or below the smallest normal float the simplex degenerates to
-    the origin: it alone is boundary, everything else outside.
+    v*t is below the smallest normal float, t = 0 included, or n / (v*t)
+    overflows, so that no weights of an inside point could be formed, the
+    simplex degenerates to the origin: it alone is boundary, everything else
+    outside.
     """
+    X = _as_points(params, x)
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    return _BY_CODE[_membership_codes(params, x, t, barycentric_coordinates)[0]]
+    vt = params.v * t
+    if vt < np.finfo(float).tiny or math.isinf(params.n / vt):
+        lo, eps = -np.abs(X).max(axis=1), 0.0
+    else:
+        lo, eps = support_margins(params, X, t).T.min(axis=0), EPS_GEO * vt
+    return _BY_CODE[np.add(lo >= -eps, lo > eps, dtype=np.int8)]
 
 
 def support_contains(params: EvolutionParams, x, t: float) -> Membership:
@@ -249,6 +236,8 @@ def barycentric_coordinates(params: EvolutionParams, x, t: float) -> np.ndarray:
         raise ValueError(f"time t must be > 0, got {t}")
     X = _as_points(params, x)
     n = params.n
-    W = 1.0 + (n / (params.v * t)) * (_vertices(n) @ X.T)
+    W = _vertices(n) @ X.T
+    W *= n / (params.v * t)
+    W += 1.0
     W /= n + 1
     return W.T

@@ -6,9 +6,10 @@ import pytest
 
 from evolvekit.cli import _csv_template, _format_rows, _parse_grid, _write_file, main
 from evolvekit.density import ac_mass, boundary_probability, density_batch
-from evolvekit.geometry import EvolutionParams, build_simplex, classify_batch, support_margins
+from evolvekit.geometry import EvolutionParams, build_simplex, classify_batch
 from evolvekit.simulator import BLOCK_SIZE, SimulationConfig, simulate_batch
 from evolvekit.verification import telegraph_density
+from test_geometry import _reference_support_margins
 
 
 def run_cli(argv):
@@ -214,7 +215,7 @@ class TestSimulateCommand:
         assert abs(mean - 3.0) < 3 * math.sqrt(3.0 / len(data))
         # closure membership
         params = EvolutionParams(n=2, lam=1.5, v=1.0)
-        margins = support_margins(params, data[:, :2], 2.0)
+        margins = _reference_support_margins(params, data[:, :2], 2.0)
         assert margins.min() >= -1e-9 * 2.0
         # cyclic bookkeeping columns
         assert np.all((data[:, 3] + data[:, 2]) % 3 == data[:, 4])

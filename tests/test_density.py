@@ -21,13 +21,12 @@ from evolvekit.density import (
     jet_operator_density,
     normalization_series_identity,
     remark_constant_check,
-    _window_sums,
+    _window_terms,
 )
 from evolvekit.geometry import (
     EPS_GEO,
     EvolutionParams,
     Membership,
-    barycentric_coordinates,
     _vertices,
     _y_affine,
     vertices_at_time,
@@ -168,12 +167,7 @@ class TestDensityGeneral:
         verts = vertices_at_time(params, t)
         edge_mid = 0.5 * (verts[0] + verts[1])
         consts = DerivedConstants.from_params(params)
-        w = barycentric_coordinates(params, edge_mid, t).T
-        u = np.clip(params.lam * t * w, 0.0, None)  # the zero weight may round below 0
-        windows = _window_sums(u)[:, 0] * params.lam**2 / 3
-        p = np.prod(u, axis=0)
-        slices = [_h_slice(2, 3 - m, p, 1e-14, params.lam * t)[0][0] for m in range(3)]
-        limit = consts.prefactor * float(windows @ slices)
+        limit = consts.prefactor * _window_terms(params, edge_mid[None, :], t, 1e-14).sum()
         deltas = np.array([1e-3, 1e-5, 1e-7])
         approached = density_batch(params, np.outer(1 - deltas, edge_mid), t)
         errors = np.abs(approached - limit)
@@ -595,11 +589,13 @@ class TestVtUnderflow:
         assert at_origin.value == 0.0
         assert at_origin.location is Membership.BOUNDARY
 
-    def test_vt_subnormal_origin_is_boundary(self):
-        # v t = 1e-308 is subnormal: its weights would divide n by it
-        params = EvolutionParams(n=8, lam=1.0, v=1e-154)
-        t = 1e-154
-        assert 0.0 < params.v * t < np.finfo(float).tiny
+    @pytest.mark.parametrize("v", [1e-154, 1.5e-154])
+    def test_vt_too_small_origin_is_boundary(self, v):
+        # v t = 1e-308 is subnormal and 8 / 2.25e-308 overflows: either way
+        # the weights would divide n by too small a v t
+        params = EvolutionParams(n=8, lam=1.0, v=v)
+        t = v
+        assert math.isinf(params.n / params.v / t)
         origin = np.zeros(8)
         assert density_batch(params, origin, t).tolist() == [0.0]
         got = density(params, origin, t)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -226,8 +227,8 @@ class TestParamsValidation:
 
 
 # Verbatim copy of the chained upper-bound rows that classify_batch tested
-# next to the facet coordinates until points were classified from their
-# barycentric weights; TestUpperRowsRedundant shows they never decide INSIDE.
+# next to the facet coordinates until it read only the least facet
+# coordinate; TestUpperRowsRedundant shows they never decide INSIDE.
 @lru_cache(maxsize=None)
 def _upper_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the remaining chained upper bounds: margins = U @ x + u * (v*t).
@@ -440,6 +441,19 @@ class TestVtUnderflow:
         X[2] = -1.0
         got = classify_batch(p, X, t)
         assert list(got) == [Membership.BOUNDARY] + [Membership.OUTSIDE] * 2
+
+    def test_n_over_vt_overflow_only_origin_on_boundary(self):
+        # v t = 2.25e-308 is normal, but 8 / (v t) overflows to inf and
+        # inf * <tau_r, 0> would be nan
+        p = params(8, v=1.5e-154)
+        t = 1.5e-154
+        assert p.v * t >= np.finfo(float).tiny and math.isinf(p.n / (p.v * t))
+        X = np.zeros((2, 8))
+        X[1, 3] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classify_batch(p, X, t)
+        assert list(got) == [Membership.BOUNDARY, Membership.OUTSIDE]
 
 
 class TestFacetBand:

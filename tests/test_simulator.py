@@ -9,7 +9,6 @@ from evolvekit.density import ac_mass
 from evolvekit.geometry import (
     EvolutionParams,
     barycentric_coordinates,
-    support_margins,
     vertices_at_time,
 )
 from evolvekit.simulator import (
@@ -22,6 +21,7 @@ from evolvekit.simulator import (
     simulate_batch,
     simulate_path,
 )
+from test_geometry import _reference_support_margins
 
 
 def params(n, lam=1.0, v=1.0):
@@ -101,7 +101,7 @@ class TestSimulatePath:
         config = SimulationConfig(seed=0, samples=1, horizon=1.0, start_point=start)
         rng = np.random.default_rng(1)
         s = simulate_path(p, config, rng)
-        margins = support_margins(p, (s.position - start)[None, :], 1.0)
+        margins = _reference_support_margins(p, (s.position - start)[None, :], 1.0)
         assert margins.min() >= -1e-9 * p.v
 
     def test_rejects_bad_direction(self):
@@ -179,7 +179,7 @@ class TestSimulateBatch:
             t = 1.2
             config = SimulationConfig(seed=n, samples=50_000, horizon=t)
             data = simulate_batch(p, config)
-            margins = support_margins(p, data.positions, t)
+            margins = _reference_support_margins(p, data.positions, t)
             assert margins.min() >= -1e-9 * p.v * t
 
     def test_cyclic_bookkeeping(self):
