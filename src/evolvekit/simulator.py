@@ -18,6 +18,12 @@ switches a path's direction is (d0 + k) mod (n+1), a column of the rolled
 direction table.  Each iteration draws one exponential per running path in
 sample order and applies ``pos += (v * min(dt, rem)) * tau[d]; rem -= dt``,
 so the per-block streams and the output bits do not depend on this layout.
+
+``histogram_fit`` compares conditioned endpoint counts with cell masses of
+the density, which ``_expected_masses`` computes by deterministic
+quadrature: Gauss-Legendre per interval on the line, and in higher dimension
+a degree-11 Grundmann-Moller rule on the edgewise sub-simplices of each
+lattice cell, refined where its embedded degree-9 rule disagrees.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iter_product
 
 import numpy as np
@@ -33,7 +41,8 @@ from scipy.stats import chi2 as chi2_dist
 
 from .density import density_batch
 from .geometry import EvolutionParams, barycentric_coordinates, vertices_at_time, volume
-from .verification import adaptive_simpson, sample_uniform_simplex
+# unused here; benchmark tracing wraps these names in this module
+from .verification import adaptive_simpson, sample_uniform_simplex  # noqa: F401
 
 __all__ = [
     "BLOCK_SIZE",
@@ -134,6 +143,18 @@ def simulate_path(
     )
 
 
+@lru_cache(maxsize=64)
+def _direction_cycle(n: int, v: float) -> np.ndarray:
+    """The unit directions as columns, twice over: column s + d is direction
+    (s + d) mod (n+1).  Read-only, shared by every path loop with this (n, v).
+    Formed as vertices_at_time / v, the bits the sampler has always used, so
+    it depends on v; lam plays no part."""
+    unit = (vertices_at_time(EvolutionParams(n=n, lam=1.0, v=v), 1.0) / v).T
+    cycle = np.hstack((unit, unit))
+    cycle.setflags(write=False)
+    return cycle
+
+
 def _sample_paths(
     params: EvolutionParams, config: SimulationConfig, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -141,8 +162,7 @@ def _sample_paths(
     switches, initial and current directions.  Running paths are compressed
     only on iterations where some path stops."""
     n = params.n
-    unit = (vertices_at_time(params, 1.0) / params.v).T  # column d is direction d
-    cycle = np.hstack((unit, unit))  # cycle[:, s + d] = unit[:, (s + d) mod (n+1)]
+    cycle = _direction_cycle(n, params.v)
     if config.initial_direction is None:
         init = rng.integers(0, n + 1, size=count)
     else:
@@ -305,63 +325,191 @@ class FitReport:
     n_cells: int
 
 
-def _expected_masses(
-    cells: SimplexCells, quad_points: int, seed: int, tol: float
-) -> np.ndarray:
-    """Cell masses of the density, normalized to sum 1.
+#: Grundmann-Moller index: the cell rule has degree 2s+1 = 11
+_GM_INDEX = 5
+#: relative error allowed on the total cell mass
+_CUBATURE_RTOL = 1e-10
+#: barycentric coordinates, n+1 per density point, that one
+#: ``_expected_masses`` call may evaluate before it gives up: 4e6 points at n = 3
+_COORD_CAP = 16_000_000
+#: coordinates per ``density_batch`` call, which bounds the cubature's memory
+_CHUNK_COORDS = 1 << 20
+#: Gauss-Legendre nodes per bin on the line
+_GL_NODES = 20
 
-    The line case integrates each interval with adaptive Simpson; higher
-    dimensions use uniform Monte Carlo over the simplex with cell tallies.
+
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+@lru_cache(maxsize=None)
+def _grundmann_moller(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (K, n+1) in barycentric coordinates and the weights of the
+    Grundmann-Moller rules of degree 2s+1 and 2s-1, s = ``_GM_INDEX``, on the
+    n-simplex, as fractions of its volume (Grundmann & Moller, SIAM J. Numer.
+    Anal. 15, 1978).  Level i of the rule of index q holds the nodes
+    (2 beta + 1) / (2q+1+n-2i), |beta| = q-i, so level i-1 of the rule of
+    index s-1 is level i of the rule of index s: the degree-(2s-1) rule uses
+    the same nodes, and the difference of the two is an error estimate."""
+
+    def weight(q: int, i: int) -> float:
+        d = 2 * q + 1
+        return (
+            math.factorial(n) * (-1) ** i * (d + n - 2 * i) ** d
+            / (4**q * math.factorial(i) * math.factorial(d + n - i))
+        )
+
+    s = _GM_INDEX
+    nodes, fine, coarse = [], [], []
+    for i in range(s + 1):
+        betas = np.array(list(_compositions(s - i, n + 1)), dtype=float)
+        nodes.append((2 * betas + 1) / (2 * s + 1 + n - 2 * i))
+        fine.append(np.full(len(betas), weight(s, i)))
+        coarse.append(np.full(len(betas), weight(s - 1, i - 1) if i else 0.0))
+    out = np.vstack(nodes), np.concatenate(fine), np.concatenate(coarse)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _edgewise_pieces(n: int, m: int) -> np.ndarray:
+    """The m**n edgewise sub-simplices of the n-simplex (Edelsbrunner &
+    Grayson, Discrete Comput. Geom. 24, 2000): integer vertices m*w, shape
+    (m**n, n+1 vertices, n+1 weights).
+
+    In the cumulative coordinates z_i = m (w_0 + ... + w_(i-1)) the simplex
+    is 0 <= z_1 <= ... <= z_n <= m, and the pieces are its Freudenthal
+    simplices: from a nondecreasing base point, one unit step along each
+    axis in turn, every vertex keeping that order.  Every hyperplane
+    m w_r = integer is z_i = k or z_(i+1) - z_i = k, a wall of that
+    triangulation, so no piece crosses one.  Each partial path extends to
+    a whole one, so building them a step at a time never holds more than
+    m**n paths.
     """
-    params, t = cells.params, cells.t
-    if params.n == 1:
-        vt = params.v * t
-        edges = np.linspace(-vt, vt, cells.resolution + 1)
-        masses = np.array(
-            [
-                adaptive_simpson(
-                    lambda s: density_batch(params, np.array([[s]]), t)[0],
-                    edges[i],
-                    edges[i + 1],
-                    1e-10,
-                )
-                for i in range(cells.resolution)
-            ]
-        )
-    else:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=(seed, 0xE)))
-        )
-        vol = volume(params, t)
-        masses = np.zeros(cells.count)
-        done = 0
-        chunk = 1_000_000
-        while done < quad_points:
-            take = min(chunk, quad_points - done)
-            pts = sample_uniform_simplex(params, t, take, rng)
-            f = density_batch(params, pts, t, tol)
-            idx = cells.assign(pts)
-            np.add.at(masses, idx, f)
-            done += take
-        masses *= vol / quad_points
-    return masses / masses.sum()
+    base = np.array(list(combinations_with_replacement(range(m), n)), dtype=np.int64)
+    paths = base[:, None, :]
+    for _ in range(n):
+        z = paths[:, -1]
+        above = np.concatenate((z[:, 1:], np.full((len(z), 1), m)), axis=1)
+        rows, axes = np.nonzero((z == base) & (z < above))
+        step = z[rows]
+        step[np.arange(len(rows)), axes] += 1
+        paths = np.concatenate((paths[rows], step[:, None]), axis=1)
+        base = base[rows]
+    ends = np.zeros((len(paths), n + 1, 1), dtype=np.int64)
+    pieces = np.diff(np.concatenate((ends, paths, ends + m), axis=2), axis=2)
+    pieces.setflags(write=False)
+    return pieces
+
+
+def _piece_integrals(
+    params: EvolutionParams, t: float, simplices: np.ndarray, vol: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-11 Grundmann-Moller integrals of the density over simplices
+    (shape (P, n+1, n+1), rows the vertices' barycentric weights) of volumes
+    ``vol``, and their error estimates |degree 11 - degree 9|.  The density
+    is evaluated in tiles of pieces by nodes of at most ``_CHUNK_COORDS``
+    coordinates."""
+    n = params.n
+    nodes, fine, coarse = _grundmann_moller(n)
+    corners = vertices_at_time(params, t)
+    per_call = max(1, _CHUNK_COORDS // (n + 1))
+    rows, cols = max(1, per_call // len(nodes)), min(len(nodes), per_call)
+    f = np.empty((len(simplices), len(nodes)))
+    for i in range(0, len(simplices), rows):
+        for j in range(0, len(nodes), cols):
+            pts = (nodes[j : j + cols] @ simplices[i : i + rows]) @ corners
+            f[i : i + rows, j : j + cols] = density_batch(
+                params, pts.reshape(-1, n), t, tol
+            ).reshape(pts.shape[:2])
+    return vol * (f @ fine), vol * np.abs(f @ (fine - coarse))
+
+
+def _expected_masses(cells: SimplexCells, tol: float) -> np.ndarray:
+    """Cell masses of the density, unnormalized: their sum is ``ac_mass``.
+
+    Deterministic quadrature.  On the line each interval gets one
+    Gauss-Legendre rule.  For n >= 2 each of the resolution**n edgewise
+    sub-simplices lies in one cell, and a degree-11 Grundmann-Moller rule
+    integrates them all at once.  While the summed |degree 11 - degree 9|
+    estimates exceed 1e-10 of the mass, the pieces with the largest estimates
+    split into their 2**n edgewise children, in the same cell, until the rest
+    sum to at most 0.9e-10 of it.  Raises ``ValueError`` past a fixed number
+    of density points.
+    """
+    params, t, m = cells.params, cells.t, cells.resolution
+    n = params.n
+    if n == 1:
+        nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+        half = params.v * t / m
+        mids = half * (2 * np.arange(m) + 1 - m)
+        f = density_batch(params, (mids[:, None] + half * nodes).reshape(-1, 1), t, tol)
+        return half * (f.reshape(m, -1) @ weights)
+    coords_per_piece = math.comb(n + _GM_INDEX + 1, n + 1) * (n + 1)  # nodes x weights
+    evaluated = 0
+
+    def spend(pieces: int) -> None:  # checked before anything of that size is built
+        nonlocal evaluated
+        evaluated += pieces * coords_per_piece
+        if evaluated > _COORD_CAP:
+            raise ValueError(
+                f"cell cubature needs more than {_COORD_CAP // (n + 1)} density points "
+                f"at n={n}, lam*t={params.lam * t:g}, resolution={m}"
+            )
+
+    spend(m**n)
+    pieces = _edgewise_pieces(n, m)
+    new = [
+        pieces / float(m),
+        np.full(len(pieces), volume(params, t) / m**n),
+        cells._table[(pieces.sum(axis=1) // (n + 1)) @ m ** np.arange(n + 1)],
+    ]
+    # leaves: simplices, volumes, cells, estimates, error estimates
+    leaves = [np.empty((0, n + 1, n + 1)), np.empty(0), np.empty(0, np.int64)]
+    leaves += [np.empty(0), np.empty(0)]
+    while True:
+        new.extend(_piece_integrals(params, t, new[0], new[1], tol))
+        leaves = [np.concatenate(pair) for pair in zip(leaves, new)]
+        simplices, vol, cell, est, err = leaves
+        budget = _CUBATURE_RTOL * abs(est.sum())
+        if err.sum() <= budget:
+            break
+        # split the largest estimates until the rest fit in 9/10 of the
+        # budget; the 2**n children of a piece together carry about 2**-10
+        # of its estimate
+        order = np.argsort(err)
+        split = np.ones(len(err), dtype=bool)
+        split[order[: np.searchsorted(np.cumsum(err[order]), 0.9 * budget, "right")]] = False
+        spend(2**n * int(split.sum()))
+        children = _edgewise_pieces(n, 2) / 2.0
+        new = [
+            np.matmul(children, simplices[split, None]).reshape(-1, n + 1, n + 1),
+            np.repeat(vol[split] / 2**n, 2**n),
+            np.repeat(cell[split], 2**n),
+        ]
+        leaves = [a[~split] for a in leaves]
+    return np.bincount(cell, weights=est, minlength=cells.count)
 
 
 def histogram_fit(
     params: EvolutionParams,
     dataset: PathDataset,
     bins: int,
-    quad_points: int = 4_000_000,
-    seed: int = 0,
     min_expected: float = 5.0,
     tol: float = 1e-12,
 ) -> FitReport:
     """Chi-square fit of conditioned endpoints against the density.
 
     Keeps samples with at least n switches (the ones carrying the absolutely
-    continuous mass), computes expected cell masses by quadrature of the
-    density, and compares counts.  Raises when the conditioned set is empty
-    or when any expected count falls below ``min_expected`` (coarsen bins).
+    continuous mass), computes expected cell masses by deterministic
+    quadrature of the density (``_expected_masses``; ``tol`` is the density's
+    series tolerance) and compares counts.  Raises when the conditioned set
+    is empty, when any expected count falls below ``min_expected`` (coarsen
+    bins) or when the quadrature would exceed its point cap.
     """
     if dataset.config.start_point is not None and np.any(dataset.config.start_point):
         raise ValueError("histogram_fit expects origin-started datasets")
@@ -371,8 +519,8 @@ def histogram_fit(
     if n_cond == 0:
         raise ValueError("no samples with enough switches to land inside the simplex")
     cells = simplex_cells(params, t, bins)
-    masses = _expected_masses(cells, quad_points, seed, tol)
-    expected = masses * n_cond
+    masses = _expected_masses(cells, tol)
+    expected = masses / masses.sum() * n_cond
     if expected.min() < min_expected:
         raise ValueError(
             f"smallest expected cell count {expected.min():.2f} < {min_expected}; "

@@ -4,8 +4,9 @@ Monte Carlo quadrature uses the exact affine map from the standard simplex:
 Dirichlet(1,...,1) weights (normalized exponential spacings) on the vertices
 v*t*tau_i give the uniform law on T_vt, so integrals are
 Vol(T_vt) * sample mean.  One-dimensional reductions (the Beta-integral
-chain, per-bin expected masses on the line) use adaptive Simpson bisection
-with the embedded |S2 - S1|/15 error estimate.
+chain) use adaptive Simpson bisection with the embedded |S2 - S1|/15 error
+estimate.  The deterministic cell masses of ``histogram_fit`` live in
+``simulator``; the ``cubature-mass`` check sums them against ``ac_mass``.
 
 ``run_all`` aggregates every check over a small parameter grid and returns
 a list of reports; statistical rules are three standard errors with an
@@ -69,6 +70,11 @@ SUITES = (
     "mc-fit",
     "all",
 )
+
+#: ``histogram_fit`` resolution of the mc-fit suite and of the cubature-mass
+#: check, which runs in these dimensions only: the cubature's nodes per piece
+#: grow as (n+6)!/(5! (n+1)!)
+_FIT_BINS = {1: 20, 2: 8, 3: 4}
 
 
 @dataclass(frozen=True)
@@ -257,6 +263,25 @@ def check_normalization(
         est.standard_error,
         "within max(3 sigma, 5e-3)",
         abs(value - target) <= tolerance,
+    )
+
+
+def check_cubature_mass(params: EvolutionParams, t: float) -> VerificationReport:
+    """Deterministic cell cubature of the density against the Poisson tail:
+    the unnormalized masses that ``histogram_fit`` uses, at its resolution."""
+    from .simulator import _expected_masses, simplex_cells  # simulator imports this module
+
+    resolution = _FIT_BINS[params.n]
+    total = float(_expected_masses(simplex_cells(params, t, resolution), 1e-12).sum())
+    target = ac_mass(params, t)
+    return _report(
+        f"cubature-mass-n={params.n}-lamt={params.lam * t:g}",
+        target,
+        total,
+        None,
+        "<= 1e-10 rel",
+        abs(total - target) <= 1e-10 * target,
+        f"resolution={resolution}",
     )
 
 
@@ -509,6 +534,8 @@ def run_all(
                     estimate_scale=scale,
                 )
             )
+            if n in _FIT_BINS:
+                reports.append(check_cubature_mass(params, lt))
             reports.append(check_series_identity(params, lt))
     if "bessel-integral" in want:
         for n, lt in grid:
@@ -529,17 +556,13 @@ def run_all(
     if "mc-fit" in want:
         from .simulator import SimulationConfig, histogram_fit, simulate_batch
 
-        fit_bins = {1: 20, 2: 8, 3: 4}
         for n in (1, 2, 3):
             params = EvolutionParams(n=n, lam=1.0, v=1.0)
             t = 2.0
             config = SimulationConfig(seed=seed + n, samples=budget, horizon=t)
             data = simulate_batch(params, config)
             reports.extend(check_singular_mass(params, t, data))
-            fit = histogram_fit(
-                params, data, fit_bins[n], quad_points=min(10 * budget, 4_000_000),
-                seed=seed,
-            )
+            fit = histogram_fit(params, data, _FIT_BINS[n])
             reports.append(
                 _report(
                     f"mc-fit-n={n}-t={t}",
@@ -558,7 +581,7 @@ def run_all(
             seed=seed + 99, samples=budget, horizon=2.0, initial_direction=0
         )
         data = simulate_batch(params, config)
-        fit = histogram_fit(params, data, 8, quad_points=min(10 * budget, 4_000_000), seed=seed)
+        fit = histogram_fit(params, data, _FIT_BINS[2])
         reports.append(
             _report(
                 "mc-fit-fixed-direction-n=2",

@@ -302,7 +302,7 @@ class TestHistogramFit:
         t = 2.0
         config = SimulationConfig(seed=37, samples=200_000, horizon=t)
         data = simulate_batch(p, config)
-        fit = histogram_fit(p, data, bins=8, quad_points=2_000_000)
+        fit = histogram_fit(p, data, bins=8)
         assert fit.p_value > 0.001
 
     def test_empty_conditional_is_error(self):

@@ -195,6 +195,19 @@ class TestRunAll:
         assert reports
         assert all(r.passed for r in reports)
 
+    def test_cubature_mass_per_grid_case(self):
+        def cubature(grid):
+            reports = run_all(budget=1000, params_grid=grid, suites=("normalization",))
+            return [r for r in reports if r.name.startswith("cubature-mass")]
+
+        grid = [(n, lt) for n in (1, 2, 3) for lt in (0.5, 1.0, 2.0)]
+        first = cubature(grid)
+        assert [r.name for r in first] == [f"cubature-mass-n={n}-lamt={lt:g}" for n, lt in grid]
+        assert all(r.passed and r.rule != "report-only" for r in first)
+        assert first == cubature(grid)  # deterministic: identical reports
+        # beyond the mc-fit dimensions the nodes per piece grow too fast
+        assert cubature([(5, 1.0)]) == []
+
     def test_geometry_suite_passes(self):
         reports = run_all(budget=100_000, suites=("geometry",))
         assert all(r.passed for r in reports)
