@@ -7,7 +7,7 @@ parameter set, the seed, the artifact version and a timestamp; the sidecar
 is written only once its data file is complete.
 
 Exit status: 0 success / all checks passed, 1 verification failure,
-2 usage error.
+2 usage error or a result beyond the float range.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from .density import ac_mass, boundary_probability, density_batch
-from .geometry import EvolutionParams, build_simplex, classify_batch, vertices_at_time
+from .geometry import EvolutionParams, build_simplex, classify_batch, vertices_at_time, volume
 from .simulator import BLOCK_SIZE, SimulationConfig, _lattice_keys, simulate_batch
+from .special_functions import DerivedConstants
 from .verification import SUITES, run_all
 
 
@@ -95,9 +96,10 @@ def _params_from(args) -> EvolutionParams:
 def cmd_geometry(args) -> int:
     geom = build_simplex(args.n)
     n = args.n
+    unit = EvolutionParams(n=n, lam=1.0, v=1.0)
     constants = {
-        "volume_coefficient": math.sqrt(n + 1) ** (n + 1) / (math.sqrt(n) ** n * math.factorial(n)),
-        "prefactor_unit_speed": math.sqrt(n) ** n / math.sqrt(n + 1) ** (n + 1),
+        "volume_coefficient": volume(unit, 1.0),
+        "prefactor_unit_speed": DerivedConstants.from_params(unit).prefactor,
         "bessel_root_scale": math.exp(math.log(2 * n + 2) / (2 * n + 2)),
         "pairwise_dot": -1.0 / n,
     }
@@ -249,6 +251,7 @@ def cmd_verify(args) -> int:
         params_grid=grid, budget=args.budget, seed=args.seed, suites=(args.suite,)
     )
     all_passed = all(r.passed for r in reports)
+    asserted = [r for r in reports if r.rule != "report-only"]
     payload = {
         "suite": args.suite,
         "grid": grid or "default",
@@ -257,8 +260,9 @@ def cmd_verify(args) -> int:
         "status": "empty" if not reports else "ok",
         "all_passed": all_passed,
         "counts": {
-            "pass": sum(r.passed for r in reports),
-            "fail": sum(not r.passed for r in reports),
+            "pass": sum(r.passed for r in asserted),
+            "fail": sum(not r.passed for r in asserted),
+            "report_only": len(reports) - len(asserted),
         },
         "checks": [dataclasses.asdict(r) for r in reports],
     }
@@ -326,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -38,6 +38,7 @@ written once and safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -207,15 +208,36 @@ def support_contains(params: EvolutionParams, x, t: float) -> Membership:
 
 
 def volume(params: EvolutionParams, t: float) -> float:
-    """Volume of the reachable simplex, (sqrt(n+1))^(n+1) (vt)^n / ((sqrt n)^n n!)."""
-    if t < 0:
+    """Volume of the reachable simplex, (sqrt(n+1))^(n+1) (vt)^n / ((sqrt n)^n n!).
+
+    Evaluated as written while its factors are finite and (vt)^n is a normal
+    float, else as exp of its logarithm; from n = 100 Stirling's series for
+    n! keeps the cancelling n log(vt) and log n! apart.  Returns 0 only where
+    the volume underflows and raises ``OverflowError`` where it exceeds the
+    float range.
+    """
+    if not t >= 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    n = params.n
-    return (
-        math.sqrt(n + 1) ** (n + 1)
-        * (params.v * t) ** n
-        / (math.sqrt(n) ** n * math.factorial(n))
-    )
+    n, vt = params.n, params.v * t
+    try:
+        power = vt**n
+        num = math.sqrt(n + 1) ** (n + 1) * power
+        den = math.sqrt(n) ** n * math.factorial(n)
+    except OverflowError:  # a power, or n! as a float, beyond the range
+        power = num = den = math.inf
+    if power >= sys.float_info.min and max(num, den) < math.inf:
+        return num / den
+    if vt / n == 0:  # vt = 0, or so small that the volume underflows too
+        return 0.0
+    if n < 100:
+        log_power = n * math.log(vt) - math.lgamma(n + 1)
+    else:  # the next term of the series, 1/(1680 n^7), is below 1e-17
+        log_power = n * (1 + math.log(vt / n)) - 0.5 * math.log(2 * math.pi * n)
+        log_power -= (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+    log_volume = 0.5 * math.log1p(n) + 0.5 * n * math.log1p(1 / n) + log_power
+    if log_volume > math.log(sys.float_info.max):
+        raise OverflowError(f"volume of T_vt exceeds the float range at n={n}, v*t={vt:g}")
+    return math.exp(log_volume)
 
 
 def vertices_at_time(params: EvolutionParams, t: float) -> np.ndarray:

@@ -21,9 +21,9 @@ so the per-block streams and the output bits do not depend on this layout.
 
 ``histogram_fit`` compares conditioned endpoint counts with cell masses of
 the density, which ``_expected_masses`` computes by deterministic
-quadrature: Gauss-Legendre per interval on the line, and in higher dimension
-a degree-11 Grundmann-Moller rule on the edgewise sub-simplices of each
-lattice cell, refined where its embedded degree-9 rule disagrees.
+quadrature in every dimension, the line included: a degree-11
+Grundmann-Moller rule on the edgewise sub-simplices of each lattice cell,
+refined where its embedded degree-9 rule disagrees.
 """
 
 from __future__ import annotations
@@ -120,11 +120,14 @@ class PathDataset:
         )
 
 
-def _check_direction(params: EvolutionParams, config: SimulationConfig) -> None:
+def _check_config(params: EvolutionParams, config: SimulationConfig) -> None:
     if config.initial_direction is not None and config.initial_direction > params.n:
         raise ValueError(
             f"fixed initial direction {config.initial_direction} outside 0..{params.n}"
         )
+    start = config.start_point
+    if start is not None and (start.shape != (params.n,) or not np.isfinite(start).all()):
+        raise ValueError(f"start point must be {params.n} finite coordinates at n={params.n}")
 
 
 def simulate_path(
@@ -133,7 +136,7 @@ def simulate_path(
     """Sample one endpoint: exponential(lam) holding times, cyclic successor,
     speed v, stopped exactly at the horizon.  Draws from ``rng`` through the
     same path loop as ``simulate_batch``."""
-    _check_direction(params, config)
+    _check_config(params, config)
     pos, switches, init, current = _sample_paths(params, config, rng, 1)
     return PathSample(
         position=pos[0],
@@ -221,7 +224,7 @@ def simulate_batch(
     result independent of ``workers`` (which defaults to EVOLVEKIT_THREADS
     or the machine's CPU count).
     """
-    _check_direction(params, config)
+    _check_config(params, config)
     total = config.samples
     blocks = [
         (j, min(BLOCK_SIZE, total - j * BLOCK_SIZE))
@@ -241,10 +244,7 @@ def simulate_batch(
             )
     else:
         parts = [_simulate_block(params, config, j, c) for j, c in blocks]
-    pos = np.concatenate([p[0] for p in parts])
-    sw = np.concatenate([p[1] for p in parts])
-    init = np.concatenate([p[2] for p in parts])
-    cur = np.concatenate([p[3] for p in parts])
+    pos, sw, init, cur = (np.concatenate(column) for column in zip(*parts))
     for arr in (pos, sw, init, cur):
         arr.setflags(write=False)
     return PathDataset(
@@ -259,34 +259,33 @@ def simulate_batch(
 
 @dataclass(frozen=True)
 class SimplexCells:
-    """Partition of the reachable simplex for goodness-of-fit binning.
-
-    n = 1: ``resolution`` equal-width intervals on (-vt, vt).
-    n >= 2: barycentric lattice cells, key = floor(resolution * w) over the
-    n+1 sojourn fractions; there is one cell per admissible key.
+    """Partition of the reachable simplex for goodness-of-fit binning:
+    barycentric lattice cells, key = floor(resolution * w) over the n+1
+    sojourn fractions, one cell per admissible key.  On the line the keys
+    (c, resolution-1-c) are the equal-width intervals of (-vt, vt), left to
+    right.
     """
 
     params: EvolutionParams
     t: float
     resolution: int
     keys: tuple = field(repr=False)
-    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):  # cell index of each key read in base m, else -1
-        if self.params.n > 1:
-            m, n = self.resolution, self.params.n
-            table = np.full(m ** (n + 1), -1, dtype=np.int64)
-            table[np.array(self.keys) @ m ** np.arange(n + 1)] = np.arange(len(self.keys))
-            object.__setattr__(self, "_table", table)
+        m, n = self.resolution, self.params.n
+        table = np.full(m ** (n + 1), -1, dtype=np.int64)
+        table[np.array(self.keys) @ m ** np.arange(n + 1)] = np.arange(len(self.keys))
+        object.__setattr__(self, "_table", table)
 
     @property
     def count(self) -> int:
-        return self.resolution if self.params.n == 1 else len(self.keys)
+        return len(self.keys)
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Cell index of each point (points must lie in the closed simplex)."""
         m = self.resolution
-        if self.params.n == 1:
+        if self.params.n == 1:  # interior edges go right, not left as in the lattice
             vt = self.params.v * self.t
             idx = np.floor((x[:, 0] + vt) / (2 * vt) * m).astype(np.int64)
             return np.clip(idx, 0, m - 1)
@@ -308,8 +307,7 @@ def _lattice_keys(n: int, m: int) -> tuple:
 def simplex_cells(params: EvolutionParams, t: float, resolution: int) -> SimplexCells:
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    n = params.n
-    keys = tuple(range(resolution)) if n == 1 else _lattice_keys(n, resolution)
+    keys = _lattice_keys(params.n, resolution)
     return SimplexCells(params=params, t=t, resolution=resolution, keys=keys)
 
 
@@ -334,8 +332,6 @@ _CUBATURE_RTOL = 1e-10
 _COORD_CAP = 16_000_000
 #: coordinates per ``density_batch`` call, which bounds the cubature's memory
 _CHUNK_COORDS = 1 << 20
-#: Gauss-Legendre nodes per bin on the line
-_GL_NODES = 20
 
 
 def _compositions(total: int, parts: int):
@@ -432,23 +428,16 @@ def _piece_integrals(
 def _expected_masses(cells: SimplexCells, tol: float) -> np.ndarray:
     """Cell masses of the density, unnormalized: their sum is ``ac_mass``.
 
-    Deterministic quadrature.  On the line each interval gets one
-    Gauss-Legendre rule.  For n >= 2 each of the resolution**n edgewise
-    sub-simplices lies in one cell, and a degree-11 Grundmann-Moller rule
-    integrates them all at once.  While the summed |degree 11 - degree 9|
-    estimates exceed 1e-10 of the mass, the pieces with the largest estimates
-    split into their 2**n edgewise children, in the same cell, until the rest
-    sum to at most 0.9e-10 of it.  Raises ``ValueError`` past a fixed number
-    of density points.
+    Deterministic quadrature.  Each of the resolution**n edgewise
+    sub-simplices lies in one cell (on the line they are the cells), and a
+    degree-11 Grundmann-Moller rule integrates them all at once.  While the
+    summed |degree 11 - degree 9| estimates exceed 1e-10 of the mass, the
+    pieces with the largest estimates split into their 2**n edgewise
+    children, in the same cell, until the rest sum to at most 0.9e-10 of it.
+    Raises ``ValueError`` past a fixed number of density points.
     """
     params, t, m = cells.params, cells.t, cells.resolution
     n = params.n
-    if n == 1:
-        nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-        half = params.v * t / m
-        mids = half * (2 * np.arange(m) + 1 - m)
-        f = density_batch(params, (mids[:, None] + half * nodes).reshape(-1, 1), t, tol)
-        return half * (f.reshape(m, -1) @ weights)
     coords_per_piece = math.comb(n + _GM_INDEX + 1, n + 1) * (n + 1)  # nodes x weights
     evaluated = 0
 

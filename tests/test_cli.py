@@ -133,6 +133,19 @@ class TestGeometryCommand:
             run_cli(["geometry", "--n", "0"])
         assert exc.value.code == 2
 
+    def test_volume_coefficient_past_factorial_overflow(self, capsys):
+        # from n = 116 the product of the formula's denominator factors overflows
+        assert run_cli(["geometry", "--n", "116", "--format", "json"]) == 0
+        constants = json.loads(capsys.readouterr().out)["constants"]
+        assert constants["volume_coefficient"] == pytest.approx(5.2446e-190, rel=1e-4, abs=0)
+
+    def test_constant_beyond_float_range_is_usage_error(self, capsys):
+        # the unit-speed prefactor (sqrt n)^n / (sqrt(n+1))^(n+1) overflows at n = 300
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["geometry", "--n", "300"])
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestDensityCommand:
     def test_line_grid_matches_oracle(self, tmp_path):
@@ -315,6 +328,12 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--suite", "beta", "--budget", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["pass"] == 55
+
+    def test_report_only_checks_counted_apart(self, capsys):
+        assert run_cli(["verify", "--suite", "all", "--budget", "200000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == {"pass": 138, "fail": 0, "report_only": 2}
+        assert len(payload["checks"]) == 140
 
     def test_zero_budget_distinct_status(self, capsys):
         assert run_cli(["verify", "--suite", "geometry", "--budget", "0"]) == 0

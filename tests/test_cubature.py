@@ -12,7 +12,12 @@ from scipy.stats import chi2
 
 import evolvekit.simulator as simulator
 from evolvekit.density import ac_mass, density_batch
-from evolvekit.geometry import EvolutionParams, vertices_at_time, volume
+from evolvekit.geometry import (
+    EvolutionParams,
+    barycentric_coordinates,
+    vertices_at_time,
+    volume,
+)
 from evolvekit.simulator import (
     SimplexCells,
     _edgewise_pieces,
@@ -159,6 +164,42 @@ class TestCellMasses:
         d = (tallies - share)[:-1]
         stat = count * d @ np.linalg.solve(cov[:-1, :-1], d)
         assert chi2.sf(stat, cells.count - 1) > 0.001
+
+
+class TestLineLattice:
+    """The line is the 1-simplex: its intervals are lattice cells."""
+
+    @pytest.mark.parametrize("m", [1, 7, 20])
+    def test_keys_are_pairs(self, m):
+        cells = simplex_cells(params(1), 1.5, m)
+        assert cells.count == m
+        assert list(cells.keys) == [(i, m - 1 - i) for i in range(m)]
+
+    @pytest.mark.parametrize("m", [5, 20])
+    def test_assign_is_the_lattice_floor(self, m):
+        p, t = params(1, v=1.3), 0.7
+        cells = simplex_cells(p, t, m)
+        rng = np.random.default_rng(m)
+        w0 = rng.uniform(0.0, 1.0, 5000)
+        w0 = w0[np.abs(m * w0 - np.round(m * w0)) > 1e-9]  # away from the edges
+        x = (2 * w0 - 1)[:, None] * (p.v * t)
+        c = np.floor(m * barycentric_coordinates(p, x, t)[:, 0]).astype(int)
+        got = cells.assign(x)
+        assert np.array_equal(got, c)
+        assert [cells.keys[i] for i in got] == [(k, m - 1 - k) for k in c]
+
+    def test_refined_masses_at_long_horizon(self, monkeypatch):
+        # at lam t = 1000 the first pass misses the target and the pieces split
+        rounds = []
+        integrals = simulator._piece_integrals
+        monkeypatch.setattr(
+            simulator, "_piece_integrals", lambda *a: rounds.append(1) or integrals(*a)
+        )
+        p = params(1, lam=2.0, v=0.5)
+        t = 1000.0 / p.lam
+        masses = _expected_masses(simplex_cells(p, t, 20), 1e-12)
+        assert len(rounds) > 1
+        assert abs(masses.sum() - ac_mass(p, t)) <= 1e-10 * ac_mass(p, t)
 
 
 def test_point_cap_raises(monkeypatch):

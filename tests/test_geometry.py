@@ -1,7 +1,9 @@
 import math
+import sys
 import warnings
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -156,6 +158,38 @@ class TestVolume:
     def test_speed_and_time_scaling(self):
         p = params(3, v=2.0)
         assert volume(p, 1.5) == pytest.approx(volume(params(3), 3.0), rel=1e-13)
+
+    @pytest.mark.parametrize("vt", [1e-3, 0.1, 1.0, 10.0, 100.0])
+    def test_matches_mpmath_over_whole_range(self, vt):
+        # the float range ends in both directions inside n = 1..400: inf at
+        # n = 103, vt = 100 and 0 at n = 116, vt = 1 came from finite factors
+        for n in range(1, 401):
+            with mpmath.workdps(40):
+                root = mpmath.sqrt
+                exact = root(n + 1) ** (n + 1) * mpmath.mpf(vt) ** n
+                exact /= root(n) ** n * mpmath.factorial(n)
+            if exact > sys.float_info.max:
+                with pytest.raises(OverflowError, match=f"n={n}, v\\*t={vt:g}"):
+                    volume(params(n), vt)
+                continue
+            got = volume(params(n), vt)
+            if n <= 100:  # the expression as it was, bit for bit, where it holds
+                old = math.sqrt(n + 1) ** (n + 1) * vt**n / (math.sqrt(n) ** n * math.factorial(n))
+                assert got == old
+            # subnormal results also carry the spacing of the subnormal grid
+            assert abs(got - float(exact)) <= 1e-12 * float(exact) + 2.0**-1074, (n, vt)
+
+    def test_extremes(self):
+        # (vt)^10 overflows, yet the volume is a normal float
+        assert volume(params(10), 1e31) == pytest.approx(1.47196e304, rel=1e-5)
+        assert volume(params(2), 1e-200) == 0.0  # a true underflow
+        assert volume(params(400), 0.0) == 0.0
+        with pytest.raises(OverflowError, match="n=2, "):
+            volume(params(2), 1e200)
+        with pytest.raises(OverflowError, match="n=1, "):
+            volume(params(1, v=1e300), 1e300)  # v*t itself is inf
+        with pytest.raises(ValueError):
+            volume(params(2), math.nan)
 
 
 class TestVerticesAtTime:

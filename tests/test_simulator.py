@@ -349,6 +349,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             SimulationConfig(seed=seed, samples=1, horizon=1.0)
 
+    @pytest.mark.parametrize("start", [[1.0], [0.0, math.nan], [1.0, 2.0, 3.0], [math.inf, 0.0]])
+    def test_start_point_checked_against_n(self, start):
+        # unchecked, [1.0] broadcasts over both coordinates, NaN gives NaN
+        # positions and a length-3 start fails inside numpy
+        config = SimulationConfig(seed=0, samples=3, horizon=1.0, start_point=start)
+        with pytest.raises(ValueError, match="start point .* n=2"):
+            simulate_batch(params(2), config, workers=1)
+        with pytest.raises(ValueError, match="start point .* n=2"):
+            simulate_path(params(2), config, np.random.default_rng(0))
+
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             assert SimulationConfig(seed=seed, samples=1, horizon=1.0).seed == seed
