@@ -55,6 +55,8 @@ comparison.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +69,7 @@ from .geometry import (
     classify_batch,
     support_contains,
     volume,
+    _log_volume,
     _y_affine,
 )
 from .special_functions import _SERIES_CAP, DerivedConstants, _h_slice, _kernel_jet_batch
@@ -319,11 +322,33 @@ def remark_constant_check(params: EvolutionParams, t: float) -> tuple[float, flo
     """The density prefactor two ways: closed form and t^n / (n! Vol T_vt).
 
     Both are (sqrt n)^n / ((sqrt(n+1))^(n+1) v^n); the pair is returned for
-    the caller to compare.
+    the caller to compare.  Each side is evaluated as written where that
+    gives a normal float, else from its logarithm (``lgamma`` for n! and the
+    log of the volume); a side outside the normal float range raises
+    ``OverflowError`` naming n and v*t.
     """
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
-    n = params.n
-    closed = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * params.v**n)
-    via_volume = t**n / (math.factorial(n) * volume(params, t))
+    n, v = params.n, params.v
+    tiny, huge = sys.float_info.min, sys.float_info.max
+
+    def from_log(log_value: float) -> float:
+        if not math.log(tiny) <= log_value <= math.log(huge):
+            raise OverflowError(
+                f"density prefactor outside the float range at n={n}, v*t={v * t:g}"
+            )
+        return math.exp(log_value)
+
+    closed = via_volume = math.nan
+    with suppress(OverflowError):  # a power, or n! as a float, beyond the range
+        if v**n >= tiny:
+            closed = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
+    with suppress(OverflowError):
+        vol = volume(params, t)
+        if min(t**n, vol) >= tiny:  # a subnormal factor has lost its precision
+            via_volume = t**n / (math.factorial(n) * vol)
+    if not tiny <= closed < math.inf:
+        closed = from_log(-0.5 * math.log1p(n) - 0.5 * n * math.log1p(1 / n) - n * math.log(v))
+    if not tiny <= via_volume < math.inf:
+        via_volume = from_log(n * math.log(t) - math.lgamma(n + 1) - _log_volume(n, v * t))
     return closed, via_volume

@@ -207,6 +207,16 @@ def support_contains(params: EvolutionParams, x, t: float) -> Membership:
     return classify_batch(params, np.atleast_1d(np.asarray(x, dtype=float)), t)[0]
 
 
+def _log_volume(n: int, vt: float) -> float:
+    """log Vol(T_vt) for vt > 0, with Stirling's series for log n! from n = 100."""
+    if n < 100:
+        log_power = n * math.log(vt) - math.lgamma(n + 1)
+    else:  # the next term of the series, 1/(1680 n^7), is below 1e-17
+        log_power = n * (1 + math.log(vt / n)) - 0.5 * math.log(2 * math.pi * n)
+        log_power -= (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+    return 0.5 * math.log1p(n) + 0.5 * n * math.log1p(1 / n) + log_power
+
+
 def volume(params: EvolutionParams, t: float) -> float:
     """Volume of the reachable simplex, (sqrt(n+1))^(n+1) (vt)^n / ((sqrt n)^n n!).
 
@@ -229,12 +239,7 @@ def volume(params: EvolutionParams, t: float) -> float:
         return num / den
     if vt / n == 0:  # vt = 0, or so small that the volume underflows too
         return 0.0
-    if n < 100:
-        log_power = n * math.log(vt) - math.lgamma(n + 1)
-    else:  # the next term of the series, 1/(1680 n^7), is below 1e-17
-        log_power = n * (1 + math.log(vt / n)) - 0.5 * math.log(2 * math.pi * n)
-        log_power -= (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
-    log_volume = 0.5 * math.log1p(n) + 0.5 * n * math.log1p(1 / n) + log_power
+    log_volume = _log_volume(n, vt)
     if log_volume > math.log(sys.float_info.max):
         raise OverflowError(f"volume of T_vt exceeds the float range at n={n}, v*t={vt:g}")
     return math.exp(log_volume)

@@ -256,19 +256,29 @@ def hyper_bessel_ode_residual(n: int, alpha: float, z: float, h: float) -> float
     The right side uses the derived-constants identity
     (alpha z)^(n+1) = pde_constant * ((n+1) z)^(n+1).
     """
+    if int(n) != n or n < 1:
+        raise ValueError(f"order parameter n must be an integer >= 1, got {n}")
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not (h > 0):
         raise ValueError(f"step h must be > 0, got {h}")
     if z - (n + 1) * h <= 0:
         raise ValueError(f"step too large: need z > (n+1) h, got z={z}, h={h}")
     m = n + 1
-    offsets = np.arange(-m, m + 1)
-    zs = z + offsets * h
-    vals = np.array([eval_hyper_bessel(n, alpha * zz, 1e-14).value for zz in zs])
+    zs = z + np.arange(-m, m + 1) * h
+    # the kernel on the whole stencil in one series call; the centre is zs[m]
+    try:
+        with np.errstate(over="ignore"):
+            vals = _h_slice(n, m, (alpha * zs / m) ** m, 1e-14, 0.0)[0]
+        if not np.all(np.isfinite(vals)):
+            raise OverflowError
+    except (ValueError, OverflowError) as exc:
+        raise OverflowError(f"kernel series overflowed on the stencil at z={z}, n={n}") from exc
+    g = vals[m]
     for _ in range(m):
         vals = _radial_operator_grid(vals, zs, h)
         zs = zs[1:-1]
     lhs = vals[0]
-    g = eval_hyper_bessel(n, alpha * z, 1e-14).value
     pde_constant = (alpha / (n + 1)) ** (n + 1)
     rhs = pde_constant * ((n + 1) * z) ** (n + 1) * g
     return abs(lhs - rhs) / abs(g)

@@ -3,10 +3,12 @@
 Monte Carlo quadrature uses the exact affine map from the standard simplex:
 Dirichlet(1,...,1) weights (normalized exponential spacings) on the vertices
 v*t*tau_i give the uniform law on T_vt, so integrals are
-Vol(T_vt) * sample mean.  One-dimensional reductions (the Beta-integral
-chain) use adaptive Simpson bisection with the embedded |S2 - S1|/15 error
-estimate.  The deterministic cell masses of ``histogram_fit`` live in
-``simulator``; the ``cubature-mass`` check sums them against ``ac_mass``.
+Vol(T_vt) * sample mean.  The one-dimensional reductions of the
+Beta-integral chain integrate polynomials, so each takes one Gauss-Legendre
+rule that is exact for its degree, summed in log space.  ``adaptive_simpson``
+is kept as a general-purpose oracle for the tests.  The deterministic cell
+masses of ``histogram_fit`` live in ``simulator``; the ``cubature-mass``
+check sums them against ``ac_mass``.
 
 ``run_all`` aggregates every check over a small parameter grid and returns
 a list of reports; statistical rules are three standard errors with an
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, i0, i1
 from scipy.stats import poisson
 
@@ -75,6 +79,15 @@ SUITES = (
 #: check, which runs in these dimensions only: the cubature's nodes per piece
 #: grow as (n+6)!/(5! (n+1)!)
 _FIT_BINS = {1: 20, 2: 8, 3: 4}
+
+#: largest Gauss-Legendre rule the Beta chain builds: ``leggauss`` solves a
+#: dense eigenproblem of its size, about 0.7 s and 34 MB at 2,048 nodes
+#: (k <= 371 at m = 10); k <= 200 needs at most 1,105
+_MAX_NODES = 2048
+#: past this many nodes the Beta chain rounds its rules up to a multiple of
+#: it, so a sweep over k shares a few cached rules instead of building one
+#: per degree (795 rules and about 19 s for k <= 200, m <= 10)
+_NODE_STEP = 64
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,9 @@ def adaptive_simpson(
     """Adaptive Simpson bisection with the |S2 - S1|/15 embedded estimate.
 
     ``tol`` is treated as relative to the running whole-interval scale, with
-    a tiny absolute floor so integrals near zero terminate.
+    a tiny absolute floor so integrals near zero terminate.  That floor is
+    1e-12, so for integrals below about 1e-12 the rule is absolute and may
+    stop on its first three-point estimate.
     """
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -332,6 +347,15 @@ def check_series_identity(params: EvolutionParams, t: float) -> VerificationRepo
     )
 
 
+@lru_cache(maxsize=None)  # at most _NODE_STEP + _MAX_NODES / _NODE_STEP rules
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point Gauss-Legendre rule on (-1, 1), exact for
+    polynomials of degree <= 2 nodes - 1; read-only, as every caller shares it."""
+    x, w = leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def check_beta_integrals(k: int, m: int) -> VerificationReport:
     """One reduction step of the iterated-integral chain.
 
@@ -339,25 +363,49 @@ def check_beta_integrals(k: int, m: int) -> VerificationReport:
     2^(2k+1) (k!)^2 / (2k+1)!; the m-th step reduces to the Beta integral of
     z^k (1-z)^(m(k+1)-1) over (0, 1) with the Gamma-ratio value
     Gamma(k+1) Gamma(m(k+1)) / Gamma((m+1)(k+1)).
+
+    Each integrand is a polynomial of degree d (2k, or k + m(k+1) - 1), so
+    the Gauss-Legendre rule with d//2 + 1 nodes integrates it exactly (past
+    _NODE_STEP nodes the next multiple of _NODE_STEP, exact too).  The sum
+    is formed from the log-integrand at the nodes, scaled by its largest
+    term, and compared with the log of the target, so the check stays finite
+    where the Beta value leaves the float range (from k = 222 at m = 10).
+    Raises ValueError where d//2 + 1 exceeds _MAX_NODES.
     """
     if k < 0:
         raise ValueError(f"power k must be >= 0, got {k}")
     if not 1 <= m <= 10:
         raise ValueError(f"stage m must be in 1..10, got {m}")
+    a, b = k + 1, m * (k + 1)
+    degree = 2 * k if m == 1 else a + b - 2
+    nodes = degree // 2 + 1
+    if nodes > _MAX_NODES:
+        raise ValueError(
+            f"Beta check k={k}, m={m} needs a {nodes}-node Gauss-Legendre rule; "
+            f"the bound is {_MAX_NODES}"
+        )
+    if nodes > _NODE_STEP:
+        nodes = -(-nodes // _NODE_STEP) * _NODE_STEP
+    x, w = _gauss_legendre(nodes)
     if m == 1:
-        target = math.exp(
-            (2 * k + 1) * math.log(2.0) + 2 * gammaln(k + 1) - gammaln(2 * k + 2)
-        )
-        estimate = adaptive_simpson(lambda z: (1.0 - z * z) ** k, -1.0, 1.0, 1e-12)
+        log_target = (2 * k + 1) * math.log(2.0) + 2 * gammaln(a) - gammaln(2 * k + 2)
+        log_terms = k * np.log1p(-x * x) + np.log(w)
     else:
-        a, b = k + 1, m * (k + 1)
-        target = math.exp(gammaln(a) + gammaln(b) - gammaln(a + b))
-        estimate = adaptive_simpson(
-            lambda z: z**k * (1.0 - z) ** (b - 1), 0.0, 1.0, 1e-12
-        )
-    rel = abs(estimate - target) / target
+        log_target = gammaln(a) + gammaln(b) - gammaln(a + b)
+        z = 0.5 * (x + 1.0)  # the rule mapped to (0, 1)
+        log_terms = k * np.log(z) + (b - 1) * np.log1p(-z) + np.log(0.5 * w)
+    top = float(log_terms.max())
+    log_estimate = top + math.log(float(np.exp(log_terms - top).sum()))
+    rel = abs(math.expm1(log_estimate - log_target))
+    target = math.exp(log_target)
     return _report(
-        f"beta-integral-k={k}-m={m}", target, estimate, None, "<= 1e-10 rel", rel <= 1e-10
+        f"beta-integral-k={k}-m={m}",
+        target,
+        math.exp(log_estimate),
+        None,
+        "<= 1e-10 rel",
+        rel <= 1e-10,
+        "" if target > 0 else f"log target {log_target:.15g}, log estimate {log_estimate:.15g}",
     )
 
 

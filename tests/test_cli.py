@@ -329,6 +329,11 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["pass"] == 55
 
+    def test_remark_suite_past_factorial_overflow(self, capsys):
+        assert run_cli(["verify", "--suite", "remark", "--n", "171", "--budget", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == {"pass": 5, "fail": 0, "report_only": 0}
+
     def test_report_only_checks_counted_apart(self, capsys):
         assert run_cli(["verify", "--suite", "all", "--budget", "200000"]) == 0
         payload = json.loads(capsys.readouterr().out)

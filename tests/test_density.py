@@ -452,6 +452,27 @@ class TestRemarkConstant:
             closed, via_volume = remark_constant_check(params, t)
             assert closed == pytest.approx(via_volume, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [171, 300])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_past_factorial_overflow(self, n, t):
+        # n! leaves the float range from n = 171, (sqrt n)^n from n = 283
+        with mpmath.workdps(30):
+            exact = float(mpmath.sqrt(n) ** n / mpmath.sqrt(n + 1) ** (n + 1))
+        closed, via_volume = remark_constant_check(EvolutionParams(n=n, lam=1.0, v=1.0), t)
+        assert closed == pytest.approx(exact, rel=1e-13)
+        assert via_volume == pytest.approx(exact, rel=1e-12)
+
+    def test_in_range_values_as_written(self):
+        n, v, t = 40, 1.3, 0.7
+        closed, via_volume = remark_constant_check(EvolutionParams(n=n, lam=1.0, v=v), t)
+        assert closed == math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
+        params = EvolutionParams(n=n, lam=1.0, v=v)
+        assert via_volume == t**n / (math.factorial(n) * volume(params, t))
+
+    def test_prefactor_beyond_float_range_is_named(self):
+        with pytest.raises(OverflowError, match=r"n=200, v\*t=1e-05"):
+            remark_constant_check(EvolutionParams(n=200, lam=1.0, v=1e-5), 1.0)
+
 
 # Verbatim copy of the (N, n+1)-layout _window_sums that preceded the
 # row-major layout, and the density math of that layout written out with it.

@@ -6,10 +6,12 @@ import pytest
 from scipy.special import i0 as scipy_i0
 from scipy.special import i1 as scipy_i1
 
+import evolvekit.special_functions as special_functions
 from evolvekit.geometry import EvolutionParams, support_margins, _y_affine
 from evolvekit.special_functions import (
     DerivedConstants,
     _jet_mul,
+    _radial_operator_grid,
     _kernel_jet_batch,
     eval_hyper_bessel,
     hyper_bessel_ode_residual,
@@ -223,9 +225,46 @@ class TestJetOfHyperBessel:
         assert G[1] == pytest.approx(c1 * 2.0 * 3.0, rel=1e-13)
 
 
+# the residual as it was before the stencil became one series call: one
+# eval_hyper_bessel call per stencil point and one more for the centre
+def _scalar_ode_residual(n: int, alpha: float, z: float, h: float) -> float:
+    m = n + 1
+    offsets = np.arange(-m, m + 1)
+    zs = z + offsets * h
+    vals = np.array([eval_hyper_bessel(n, alpha * zz, 1e-14).value for zz in zs])
+    for _ in range(m):
+        vals = _radial_operator_grid(vals, zs, h)
+        zs = zs[1:-1]
+    lhs = vals[0]
+    g = eval_hyper_bessel(n, alpha * z, 1e-14).value
+    pde_constant = (alpha / (n + 1)) ** (n + 1)
+    rhs = pde_constant * ((n + 1) * z) ** (n + 1) * g
+    return abs(lhs - rhs) / abs(g)
+
+
 class TestOdeResidual:
     def test_line_case_small_residual(self):
         assert hyper_bessel_ode_residual(1, 1.0, 1.0, 1e-3) <= 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stencil_in_one_call_matches_scalar_evaluations(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            special_functions, "eval_hyper_bessel", lambda *a: calls.append(a)
+        )
+        alpha = DerivedConstants.from_params(EvolutionParams(n=n, lam=1.0, v=1.0)).alpha
+        for z in np.linspace(0.5, 2.0, 10):
+            h = min(0.05 * z / (n + 1), 0.05)
+            # the steps where truncation, not rounding, sets the residual
+            for step in (h, h / 2, h / 4):
+                got = hyper_bessel_ode_residual(n, alpha, float(z), step)
+                want = _scalar_ode_residual(n, alpha, float(z), step)
+                assert got == pytest.approx(want, rel=1e-6)
+        assert calls == []
+
+    def test_stencil_overflow_is_named(self):
+        with pytest.raises(OverflowError, match="stencil at z=800"):
+            hyper_bessel_ode_residual(1, 1.0, 800.0, 1e-3)
 
     def test_order_three_with_tuning(self):
         assert tuned_ode_residual(2, 1.0, 1.0) <= 1e-2

@@ -1,12 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import kstest
+
+import evolvekit.verification as verification
 
 from evolvekit.density import ac_mass, analytic_bessel_integral, density_batch
 from evolvekit.geometry import EvolutionParams, Membership, classify_batch, volume
 from evolvekit.verification import (
+    _gauss_legendre,
     adaptive_simpson,
     check_beta_integrals,
     check_normalization,
@@ -150,6 +155,57 @@ class TestBetaIntegrals:
             check_beta_integrals(1, 0)
         with pytest.raises(ValueError):
             check_beta_integrals(-1, 1)
+
+    def test_every_case_to_k200(self):
+        # adaptive Simpson turned absolute below 1e-12 and failed most of these
+        failed = [
+            (k, m)
+            for k in range(201)
+            for m in range(1, 11)
+            if not check_beta_integrals(k, m).passed
+        ]
+        assert failed == []
+
+    @pytest.mark.parametrize("k, m", [(30, 5), (60, 10)])
+    def test_pinned_against_mpmath(self, k, m):
+        exact = float(mpmath.beta(k + 1, m * (k + 1)))
+        rep = check_beta_integrals(k, m)
+        assert rep.estimate == pytest.approx(exact, rel=1e-12)
+        assert rep.passed
+
+    def test_underflowed_value_compared_in_log_space(self):
+        # B(231, 2310) is about 1e-340, below the float range
+        rep = check_beta_integrals(230, 10)
+        assert rep.passed and rep.target == 0.0 and rep.estimate == 0.0
+        log_exact = float(mpmath.log(mpmath.beta(231, 2310)))
+        log_target = gammaln(231) + gammaln(2310) - gammaln(2541)
+        assert log_target == pytest.approx(log_exact, rel=1e-14)
+        assert f"log target {log_target:.15g}" in rep.info
+
+    def test_node_bound_is_named(self, monkeypatch):
+        monkeypatch.setattr(verification, "_MAX_NODES", 5)
+        assert check_beta_integrals(4, 1).passed  # 5 nodes
+        with pytest.raises(ValueError, match=r"k=5, m=1 needs a 6-node"):
+            check_beta_integrals(5, 1)
+        with pytest.raises(ValueError, match=r"k=2, m=3 needs a 6-node"):
+            check_beta_integrals(2, 3)
+
+
+class TestGaussLegendre:
+    @staticmethod
+    def monomial_on_unit_interval(nodes, degree):
+        x, w = _gauss_legendre(nodes)
+        return 0.5 * w @ (0.5 * (x + 1.0)) ** degree
+
+    @pytest.mark.parametrize("degree", [*range(0, 65), 127, 200])
+    def test_exact_with_half_degree_plus_one_nodes(self, degree):
+        got = self.monomial_on_unit_interval(degree // 2 + 1, degree)
+        assert got == pytest.approx(1.0 / (degree + 1), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("degree", range(2, 13))
+    def test_one_node_fewer_is_not_exact(self, degree):
+        got = self.monomial_on_unit_interval(degree // 2, degree)
+        assert abs(got * (degree + 1) - 1.0) > 1e-7
 
 
 class TestTelegraphOracle:
