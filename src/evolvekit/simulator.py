@@ -37,7 +37,7 @@ from itertools import combinations, combinations_with_replacement
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from .density import density_batch
 from .geometry import EvolutionParams, barycentric_coordinates, vertices_at_time, volume
@@ -521,7 +521,7 @@ def histogram_fit(
     return FitReport(
         statistic=statistic,
         dof=dof,
-        p_value=float(chi2_dist.sf(statistic, dof)),
+        p_value=float(chdtrc(dof, statistic)),
         reduced=statistic / dof,
         observed=observed,
         expected=expected,

@@ -81,10 +81,15 @@ class DerivedConstants:
         n, lam, v = params.n, params.lam, params.v
         root = math.exp(math.log(2 * n + 2) / (2 * n + 2))
         alpha = (lam / v) * math.sqrt(n * (n + 1)) / root
-        prefactor = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
-        pde_constant = (
-            (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2)
-        )
+        try:
+            prefactor = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
+            pde_constant = (
+                (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2)
+            )
+        except OverflowError:
+            raise OverflowError(
+                f"density constants overflow float64 at n={n}, lam={lam!r}, v={v!r}"
+            ) from None
         check = (alpha / (n + 1)) ** (n + 1)
         if not math.isclose(pde_constant, check, rel_tol=1e-12):
             raise AssertionError(

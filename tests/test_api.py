@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +17,8 @@ RETIRED = [
     "to_y_coordinates",
     "OutsideSupportError",
 ]
-SPANS_FILE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "bench" / "spans.py"
 
 
 @pytest.mark.parametrize("module", [None] + MODULES)
@@ -29,6 +33,32 @@ def test_retired_names_are_gone():
         for name in RETIRED:
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
             assert name not in getattr(mod, "__all__", [])
+
+
+def test_runtime_never_loads_scipy_stats():
+    # a fit and the singular-mass checks in a fresh interpreter: scipy.stats
+    # alone costs about a second of import time
+    script = """
+import sys
+import evolvekit.cli  # the console script's import graph
+from evolvekit.geometry import EvolutionParams
+from evolvekit.simulator import SimulationConfig, histogram_fit, simulate_batch
+from evolvekit.verification import check_singular_mass
+
+p = EvolutionParams(n=2, lam=1.0, v=1.0)
+data = simulate_batch(p, SimulationConfig(seed=0, samples=5000, horizon=2.0))
+assert 0.0 <= histogram_fit(p, data, bins=4).p_value <= 1.0
+assert check_singular_mass(p, 2.0, data)[-1].passed
+assert "scipy.stats" not in sys.modules, "evolvekit loaded scipy.stats"
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _load_spans():

@@ -146,6 +146,14 @@ class TestGeometryCommand:
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_constant_overflow_names_the_parameters(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["geometry", "--n", "300"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "n=300" in err and "v=1.0" in err
+        assert "Numerical result out of range" not in err
+
 
 class TestDensityCommand:
     def test_line_grid_matches_oracle(self, tmp_path):

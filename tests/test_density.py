@@ -382,6 +382,11 @@ class TestAcMass:
             assert ac_mass(params, lt) == pytest.approx(
                 float(poisson.sf(n - 1, lt)), rel=1e-12
             )
+            # poisson.sf is the same incomplete gamma routine; the term sum is not
+            direct = math.fsum(
+                math.exp(-lt) * lt**k / math.factorial(k) for k in range(n, 80)
+            )
+            assert ac_mass(params, lt) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_tiny_mass_without_cancellation(self, n):

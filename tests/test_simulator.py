@@ -305,6 +305,16 @@ class TestHistogramFit:
         fit = histogram_fit(p, data, bins=8)
         assert fit.p_value > 0.001
 
+    @pytest.mark.parametrize("n, t, bins", [(1, 1.0, 20), (2, 2.0, 8), (3, 2.0, 4)])
+    def test_p_value_is_the_chi2_survival_function(self, n, t, bins):
+        from scipy.stats import chi2
+
+        p = params(n)
+        data = simulate_batch(p, SimulationConfig(seed=40 + n, samples=20_000, horizon=t))
+        fit = histogram_fit(p, data, bins=bins)
+        assert 0.0 < fit.p_value < 1.0
+        assert fit.p_value == float(chi2.sf(fit.statistic, fit.dof))
+
     def test_empty_conditional_is_error(self):
         p = params(2)
         config = SimulationConfig(seed=0, samples=100, horizon=1e-7)

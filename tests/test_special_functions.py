@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -288,3 +289,11 @@ class TestDerivedConstants:
         consts = DerivedConstants.from_params(EvolutionParams(n=1, lam=3.0, v=2.0))
         assert consts.alpha == pytest.approx(1.5, rel=1e-14)
         assert consts.prefactor == pytest.approx(1.0 / 4.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, lam, v", [(300, 1.0, 1.0), (3, 1.0, 1e300), (3, 1e100, 1.0)]
+    )
+    def test_overflow_names_the_parameters(self, n, lam, v):
+        named = re.escape(f"n={n}, lam={lam!r}, v={v!r}")
+        with pytest.raises(OverflowError, match=named):
+            DerivedConstants.from_params(EvolutionParams(n=n, lam=lam, v=v))

@@ -10,11 +10,13 @@ import evolvekit.verification as verification
 
 from evolvekit.density import ac_mass, analytic_bessel_integral, density_batch
 from evolvekit.geometry import EvolutionParams, Membership, classify_batch, volume
+from evolvekit.simulator import SimulationConfig, simulate_batch
 from evolvekit.verification import (
     _gauss_legendre,
     adaptive_simpson,
     check_beta_integrals,
     check_normalization,
+    check_singular_mass,
     integrate_over_support,
     run_all,
     sample_uniform_simplex,
@@ -236,6 +238,31 @@ class TestCheckNormalization:
         rep = check_normalization(params(2), 1e-3, 50_000, np.random.default_rng(5))
         assert rep.passed
         assert rep.target < 1e-5
+
+
+class TestSingularMass:
+    @pytest.mark.parametrize(
+        "n, mean",
+        [(1, 2.0), (3, 2.0), (10, 1e-3), (9, 50.0), (50, 1.0), (200, 3.0),
+         (100, 100.0), (1, 1000.0)],
+    )
+    def test_poisson_tail_against_mpmath(self, n, mean):
+        exact = float(mpmath.gammainc(n, 0, mean, regularized=True))
+        assert verification._poisson_tail(n, mean) == pytest.approx(exact, rel=1e-12)
+
+    def test_poisson_tail_at_zero_mean(self):
+        assert verification._poisson_tail(2, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tail_check_catches_a_relative_error_of_1e_10(self, n, monkeypatch):
+        p = params(n)
+        data = simulate_batch(p, SimulationConfig(seed=n, samples=1000, horizon=2.0))
+        tail = check_singular_mass(p, 2.0, data)[-1]
+        assert tail.name == f"poisson-tail-n={n}" and tail.passed
+        monkeypatch.setattr(
+            verification, "ac_mass", lambda params, t: ac_mass(params, t) * (1 + 1e-10)
+        )
+        assert not check_singular_mass(p, 2.0, data)[-1].passed
 
 
 class TestRunAll:
