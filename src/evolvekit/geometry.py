@@ -114,32 +114,14 @@ def _vertices(n: int) -> np.ndarray:
 def _y_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the facet coordinates: y = M @ x + s * (v*t).
 
-    The x_j coefficients inside y_k come from telescoping square-root
-    products; an empty product (reached at small n) is 1 by convention,
-    which reproduces the n=1 line case y = (vt + x, vt - x).
+    y_i is (n+1) v t w_(i-1) / n = <tau_(i-1), x> + v t / n divided by its
+    leading x-coefficient, so that this becomes +-1: the diagonal entry of
+    tau_(i-1) for i <= n, and minus the last entry of tau_n for y_(n+1).
     """
-    M = np.zeros((n + 1, n))
-    s = np.zeros(n + 1)
-    M[0, 0] = 1.0
-    s[0] = 1.0 / n
-
-    def c(k: int, j: int) -> float:
-        # telescoped value of sqrt((n-1)...(n-k+1) / ((n+1)...(n-k+3))) shifted to x_j
-        return math.sqrt((n - k + 1) * (n - k + 2) / ((n - j + 1) * (n - j + 2)))
-
-    for k in range(2, n + 1):
-        M[k - 1, k - 1] = 1.0
-        for j in range(1, k):
-            M[k - 1, j - 1] = -c(k, j) / (n - k + 1)
-        s[k - 1] = c(k, 1) / (n - k + 1)
-
-    def b(j: int) -> float:
-        return math.sqrt(2.0 / ((n - j + 1) * (n - j + 2)))
-
-    for j in range(1, n):
-        M[n, j - 1] = -b(j)
-    M[n, n - 1] = -1.0
-    s[n] = b(1) if n > 1 else 1.0
+    V = _vertices(n)
+    lead = np.append(np.diag(V), -V[n, n - 1])
+    M = V / lead[:, None]
+    s = 1.0 / (n * lead)
     M.setflags(write=False)
     s.setflags(write=False)
     return M, s
@@ -207,13 +189,19 @@ def support_contains(params: EvolutionParams, x, t: float) -> Membership:
     return classify_batch(params, np.atleast_1d(np.asarray(x, dtype=float)), t)[0]
 
 
+def _stirling_series(n: int) -> float:
+    """log n! - (n log n - n + log(2 pi n) / 2) for n >= 100, where the next
+    term of the series, 1/(1680 n^7), is below 1e-17."""
+    return (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+
+
 def _log_volume(n: int, vt: float) -> float:
     """log Vol(T_vt) for vt > 0, with Stirling's series for log n! from n = 100."""
     if n < 100:
         log_power = n * math.log(vt) - math.lgamma(n + 1)
-    else:  # the next term of the series, 1/(1680 n^7), is below 1e-17
+    else:
         log_power = n * (1 + math.log(vt / n)) - 0.5 * math.log(2 * math.pi * n)
-        log_power -= (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
+        log_power -= _stirling_series(n)
     return 0.5 * math.log1p(n) + 0.5 * n * math.log1p(1 / n) + log_power
 
 

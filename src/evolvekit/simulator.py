@@ -34,7 +34,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from itertools import product as iter_product
 
 import numpy as np
 from scipy.special import chdtrc
@@ -301,7 +300,7 @@ class SimplexCells:
 def _lattice_keys(n: int, m: int) -> tuple:
     """Barycentric lattice keys c = floor(m w) of the cells of resolution m,
     in lexicographic order: n+1 digits in 0..m-1 with m-(n+1) < sum(c) <= m-1."""
-    return tuple(c for c in iter_product(range(m), repeat=n + 1) if m - (n + 1) < sum(c) <= m - 1)
+    return tuple(sorted(c for s in range(max(m - n, 0), m) for c in _compositions(s, n + 1)))
 
 
 def simplex_cells(params: EvolutionParams, t: float, resolution: int) -> SimplexCells:

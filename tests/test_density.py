@@ -404,8 +404,18 @@ class TestAnalyticBesselIntegral:
         assert analytic_bessel_integral(EvolutionParams(n=2, lam=1.0, v=1.0), 0.0) == 0.0
 
     def test_line_is_sinh(self):
-        got = analytic_bessel_integral(EvolutionParams(n=1, lam=1.0, v=1.0), 1.0, tol=1e-15)
+        got = analytic_bessel_integral(EvolutionParams(n=1, lam=1.0, v=1.0), 1.0)
         assert got == pytest.approx(2.0 * math.sinh(1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("lt", [50.0, 300.0, 700.0])
+    def test_line_is_sinh_at_large_lam_t(self, lt):
+        params = EvolutionParams(n=1, lam=2.0, v=0.5)
+        got = analytic_bessel_integral(params, lt / params.lam)
+        assert got == pytest.approx(2.0 * (params.v / params.lam) * math.sinh(lt), rel=1e-12)
+
+    def test_overflow_names_n_and_lam_t(self):
+        with pytest.raises(OverflowError, match=r"n=1, lam\*t=800"):
+            analytic_bessel_integral(EvolutionParams(n=1, lam=1.0, v=1.0), 800.0)
 
     def test_plane_value(self):
         # direct summation oracle: coeff * sum 1/(3k+2)!
@@ -425,6 +435,13 @@ class TestNormalizationSeriesIdentity:
         got = normalization_series_identity(params, lt)
         target = ac_mass(params, lt)
         assert abs(got - target) <= 1e-12 * max(1.0, abs(target))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("lt", [100.0, 200.0, 500.0, 1000.0])
+    def test_equals_ac_mass_at_large_lam_t(self, n, lt):
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        got = normalization_series_identity(params, lt)
+        assert abs(got - ac_mass(params, lt)) <= 1e-12
 
     def test_speed_independent(self):
         params = EvolutionParams(n=2, lam=1.5, v=3.0)

@@ -122,6 +122,50 @@ class TestSupportContains:
             )
 
 
+def _telescoped_y_affine(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The facet-coordinate coefficients as the paper writes them: telescoped
+    square-root products, an empty product being 1 (so n = 1 is the line)."""
+    M = np.zeros((n + 1, n))
+    s = np.zeros(n + 1)
+    M[0, 0] = 1.0
+    s[0] = 1.0 / n
+
+    def c(k: int, j: int) -> float:
+        return math.sqrt((n - k + 1) * (n - k + 2) / ((n - j + 1) * (n - j + 2)))
+
+    for k in range(2, n + 1):
+        M[k - 1, k - 1] = 1.0
+        for j in range(1, k):
+            M[k - 1, j - 1] = -c(k, j) / (n - k + 1)
+        s[k - 1] = c(k, 1) / (n - k + 1)
+
+    def b(j: int) -> float:
+        return math.sqrt(2.0 / ((n - j + 1) * (n - j + 2)))
+
+    for j in range(1, n):
+        M[n, j - 1] = -b(j)
+    M[n, n - 1] = -1.0
+    s[n] = b(1) if n > 1 else 1.0
+    return M, s
+
+
+class TestYAffineOracle:
+    """``_y_affine`` is derived from the vertex table; the paper's telescoped
+    formulas are the oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_derived_map_matches_the_telescoped_formulas(self, n):
+        # 2 ulps as a relative error of 2 eps; counted in spacings, three
+        # entries (n = 34, 36, 38) sit 3 apart
+        for got, want in zip(_y_affine(n), _telescoped_y_affine(n)):
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * np.abs(want))
+
+    def test_line(self):
+        M, s = _y_affine(1)
+        assert M.tolist() == [[1.0], [-1.0]] and s.tolist() == [1.0, 1.0]
+
+
 class TestYCoordinates:
     """Facet coordinates: ``support_margins``."""
 

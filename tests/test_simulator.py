@@ -15,6 +15,7 @@ from evolvekit.simulator import (
     BLOCK_SIZE,
     PathDataset,
     SimulationConfig,
+    _lattice_keys,
     _simulate_block,
     histogram_fit,
     simplex_cells,
@@ -250,6 +251,13 @@ class TestSimplexCells:
         # compositions of 3, 2, 1 into four nonnegative parts
         assert cells.count == 20 + 10 + 4
 
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_lattice_keys_match_the_product_filter(self, n):
+        for m in range(1, 9):
+            digits = itertools.product(range(m), repeat=n + 1)
+            want = tuple(c for c in digits if m - (n + 1) < sum(c) <= m - 1)
+            assert _lattice_keys(n, m) == want
 
     @pytest.mark.parametrize("n, m", [(2, 4), (2, 8), (3, 4), (3, 8)])
     def test_assign_matches_reference(self, n, m):

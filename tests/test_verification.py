@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -8,14 +9,16 @@ from scipy.stats import kstest
 
 import evolvekit.verification as verification
 
-from evolvekit.density import ac_mass, analytic_bessel_integral, density_batch
+from evolvekit.density import _log_poisson_sum, ac_mass, analytic_bessel_integral, density_batch
 from evolvekit.geometry import EvolutionParams, Membership, classify_batch, volume
 from evolvekit.simulator import SimulationConfig, simulate_batch
 from evolvekit.verification import (
+    QuadratureEstimate,
     _gauss_legendre,
     adaptive_simpson,
     check_beta_integrals,
     check_normalization,
+    check_series_identity,
     check_singular_mass,
     integrate_over_support,
     run_all,
@@ -240,6 +243,19 @@ class TestCheckNormalization:
         assert rep.target < 1e-5
 
 
+class TestSeriesIdentity:
+    def test_finite_past_the_float_range_of_e_lam_t(self):
+        rep = check_series_identity(params(1), 800.0)
+        assert rep.passed and math.isfinite(rep.estimate)
+        assert rep.estimate == pytest.approx(rep.target, rel=1e-12)
+
+    def test_a_nan_sum_fails(self, monkeypatch):
+        # the package exports a function named density, so take the module
+        density_module = sys.modules["evolvekit.density"]
+        monkeypatch.setattr(density_module, "_log_poisson_sum", lambda *args: math.nan)
+        assert not check_series_identity(params(2), 1.0).passed
+
+
 class TestSingularMass:
     @pytest.mark.parametrize(
         "n, mean",
@@ -248,10 +264,10 @@ class TestSingularMass:
     )
     def test_poisson_tail_against_mpmath(self, n, mean):
         exact = float(mpmath.gammainc(n, 0, mean, regularized=True))
-        assert verification._poisson_tail(n, mean) == pytest.approx(exact, rel=1e-12)
+        assert math.exp(_log_poisson_sum(mean, n)) == pytest.approx(exact, rel=1e-12)
 
     def test_poisson_tail_at_zero_mean(self):
-        assert verification._poisson_tail(2, 0.0) == 0.0
+        assert math.exp(_log_poisson_sum(0.0, 2)) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tail_check_catches_a_relative_error_of_1e_10(self, n, monkeypatch):
@@ -295,16 +311,18 @@ class TestRunAll:
         reports = run_all(budget=100_000, suites=("geometry",))
         assert all(r.passed for r in reports)
 
-    def test_corruption_hook_fails_volume(self):
-        reports = run_all(budget=100_000, suites=("geometry",), corrupt="volume")
+    def test_corruption_hook_fails_volume(self, monkeypatch):
+        # a volume 2 percent off, beyond every tolerance rule
+        monkeypatch.setattr(verification, "volume", lambda p, t: volume(p, t) * 1.02)
+        reports = run_all(budget=100_000, suites=("geometry",))
         assert any(not r.passed for r in reports)
 
-    def test_corruption_hook_fails_normalization(self):
-        reports = run_all(
-            budget=100_000,
-            params_grid=[(1, 1.0)],
-            suites=("normalization",),
-            corrupt="normalization",
-        )
+    def test_corruption_hook_fails_normalization(self, monkeypatch):
+        def off_by_2_percent(*args, **kwargs):
+            est = integrate_over_support(*args, **kwargs)
+            return QuadratureEstimate(est.value * 1.02, est.standard_error, est.samples)
+
+        monkeypatch.setattr(verification, "integrate_over_support", off_by_2_percent)
+        reports = run_all(budget=100_000, params_grid=[(1, 1.0)], suites=("normalization",))
         names = [r.name for r in reports if not r.passed]
         assert any(name.startswith("normalization") for name in names)
