@@ -189,19 +189,13 @@ def support_contains(params: EvolutionParams, x, t: float) -> Membership:
     return classify_batch(params, np.atleast_1d(np.asarray(x, dtype=float)), t)[0]
 
 
-def _stirling_series(n: int) -> float:
-    """log n! - (n log n - n + log(2 pi n) / 2) for n >= 100, where the next
-    term of the series, 1/(1680 n^7), is below 1e-17."""
-    return (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
-
-
 def _log_volume(n: int, vt: float) -> float:
     """log Vol(T_vt) for vt > 0, with Stirling's series for log n! from n = 100."""
     if n < 100:
         log_power = n * math.log(vt) - math.lgamma(n + 1)
-    else:
+    else:  # the next term of the series, 1/(1680 n^7), is below 1e-17
         log_power = n * (1 + math.log(vt / n)) - 0.5 * math.log(2 * math.pi * n)
-        log_power -= _stirling_series(n)
+        log_power -= (1 / 12 - (1 / 360 - 1 / (1260 * n * n)) / (n * n)) / n
     return 0.5 * math.log1p(n) + 0.5 * n * math.log1p(1 / n) + log_power
 
 

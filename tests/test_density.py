@@ -417,6 +417,16 @@ class TestAnalyticBesselIntegral:
         with pytest.raises(OverflowError, match=r"n=1, lam\*t=800"):
             analytic_bessel_integral(EvolutionParams(n=1, lam=1.0, v=1.0), 800.0)
 
+    def test_small_coefficient_keeps_a_large_lam_t_finite(self):
+        # e^720 is past the float range; (v/lam) e^720 / 2 * 2 is not
+        got = analytic_bessel_integral(EvolutionParams(n=1, lam=1.0, v=1e-10), 720.0)
+        with mpmath.workdps(40):
+            exact = float(2 * mpmath.mpf(1e-10) * mpmath.sinh(720))
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_tiny_time_at_high_dimension(self):
+        assert analytic_bessel_integral(EvolutionParams(n=100, lam=1.0, v=1.0), 1e-15) == 0.0
+
     def test_plane_value(self):
         # direct summation oracle: coeff * sum 1/(3k+2)!
         oracle = (3.0 * math.sqrt(3.0) / 2.0) * sum(
@@ -450,6 +460,10 @@ class TestNormalizationSeriesIdentity:
 
     def test_t_zero(self):
         assert normalization_series_identity(EvolutionParams(n=3, lam=1.0, v=1.0), 0.0) == 0.0
+
+    def test_tiny_time_at_high_dimension(self):
+        params = EvolutionParams(n=100, lam=1.0, v=1.0)
+        assert normalization_series_identity(params, 1e-15) == 0.0
 
 
 class TestRemarkConstant:

@@ -266,6 +266,13 @@ class TestSingularMass:
         exact = float(mpmath.gammainc(n, 0, mean, regularized=True))
         assert math.exp(_log_poisson_sum(mean, n)) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("n, mean", [(200, 0.3), (100, 1e-15), (150, 1e-20)])
+    def test_log_poisson_tail_below_the_float_range(self, n, mean):
+        # an absolute 1e-12 on the log is a relative 1e-12 on the tail itself
+        with mpmath.workdps(40):
+            exact = float(mpmath.log(mpmath.gammainc(n, 0, mean, regularized=True)))
+        assert abs(_log_poisson_sum(mean, n) - exact) <= 1e-12
+
     def test_poisson_tail_at_zero_mean(self):
         assert math.exp(_log_poisson_sum(0.0, 2)) == 0.0
 
