@@ -164,8 +164,9 @@ def density_batch(
     inside = loc == Membership.INSIDE
     values = np.zeros(len(X))
     if inside.any():
-        terms = _window_terms(params, X.compress(inside, axis=0), t, tol)
+        # before lam**n in _window_terms, so an out-of-range constant is named
         consts = DerivedConstants.from_params(params)
+        terms = _window_terms(params, X.compress(inside, axis=0), t, tol)
         values[inside] = consts.prefactor * terms.sum(axis=0)
     return values
 
@@ -208,8 +209,8 @@ def density(
     loc = support_contains(params, X[0], t)
     if loc is not Membership.INSIDE:
         return DensityValue(value=0.0, operator_terms=np.zeros(params.n + 1), location=loc)
-    scaled = _window_terms(params, X, t, tol)[:, 0]
     consts = DerivedConstants.from_params(params)
+    scaled = _window_terms(params, X, t, tol)[:, 0]
     value = consts.prefactor * float(scaled.sum())
     with np.errstate(over="ignore"):
         terms = np.multiply(

@@ -23,7 +23,9 @@ so the per-block streams and the output bits do not depend on this layout.
 the density, which ``_expected_masses`` computes by deterministic
 quadrature in every dimension, the line included: a degree-11
 Grundmann-Moller rule on the edgewise sub-simplices of each lattice cell,
-refined where its embedded degree-9 rule disagrees.
+refined where its embedded degree-9 rule disagrees.  The engine takes any
+batch integrand; the verification battery also integrates the density's
+kernel with it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from typing import Callable
 
 import numpy as np
 from scipy.special import chdtrc
@@ -326,10 +329,10 @@ class FitReport:
 _GM_INDEX = 5
 #: relative error allowed on the total cell mass
 _CUBATURE_RTOL = 1e-10
-#: barycentric coordinates, n+1 per density point, that one
+#: barycentric coordinates, n+1 per integrand point, that one
 #: ``_expected_masses`` call may evaluate before it gives up: 4e6 points at n = 3
 _COORD_CAP = 16_000_000
-#: coordinates per ``density_batch`` call, which bounds the cubature's memory
+#: coordinates per integrand call, which bounds the cubature's memory
 _CHUNK_COORDS = 1 << 20
 
 
@@ -402,13 +405,17 @@ def _edgewise_pieces(n: int, m: int) -> np.ndarray:
 
 
 def _piece_integrals(
-    params: EvolutionParams, t: float, simplices: np.ndarray, vol: np.ndarray, tol: float
+    params: EvolutionParams,
+    t: float,
+    simplices: np.ndarray,
+    vol: np.ndarray,
+    integrand: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-11 Grundmann-Moller integrals of the density over simplices
+    """Degree-11 Grundmann-Moller integrals of ``integrand`` over simplices
     (shape (P, n+1, n+1), rows the vertices' barycentric weights) of volumes
-    ``vol``, and their error estimates |degree 11 - degree 9|.  The density
-    is evaluated in tiles of pieces by nodes of at most ``_CHUNK_COORDS``
-    coordinates."""
+    ``vol``, and their error estimates |degree 11 - degree 9|.  The
+    integrand maps points (N, n) of T_vt to values (N,); it is evaluated in
+    tiles of pieces by nodes of at most ``_CHUNK_COORDS`` coordinates."""
     n = params.n
     nodes, fine, coarse = _grundmann_moller(n)
     corners = vertices_at_time(params, t)
@@ -418,22 +425,23 @@ def _piece_integrals(
     for i in range(0, len(simplices), rows):
         for j in range(0, len(nodes), cols):
             pts = (nodes[j : j + cols] @ simplices[i : i + rows]) @ corners
-            f[i : i + rows, j : j + cols] = density_batch(
-                params, pts.reshape(-1, n), t, tol
-            ).reshape(pts.shape[:2])
+            f[i : i + rows, j : j + cols] = integrand(pts.reshape(-1, n)).reshape(pts.shape[:2])
     return vol * (f @ fine), vol * np.abs(f @ (fine - coarse))
 
 
-def _expected_masses(cells: SimplexCells, tol: float) -> np.ndarray:
-    """Cell masses of the density, unnormalized: their sum is ``ac_mass``.
+def _expected_masses(
+    cells: SimplexCells, integrand: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Integrals of ``integrand`` over the cells; for the density these are
+    the unnormalized cell masses, whose sum is ``ac_mass``.
 
     Deterministic quadrature.  Each of the resolution**n edgewise
     sub-simplices lies in one cell (on the line they are the cells), and a
     degree-11 Grundmann-Moller rule integrates them all at once.  While the
-    summed |degree 11 - degree 9| estimates exceed 1e-10 of the mass, the
+    summed |degree 11 - degree 9| estimates exceed 1e-10 of the total, the
     pieces with the largest estimates split into their 2**n edgewise
     children, in the same cell, until the rest sum to at most 0.9e-10 of it.
-    Raises ``ValueError`` past a fixed number of density points.
+    Raises ``ValueError`` past a fixed number of integrand points.
     """
     params, t, m = cells.params, cells.t, cells.resolution
     n = params.n
@@ -445,7 +453,7 @@ def _expected_masses(cells: SimplexCells, tol: float) -> np.ndarray:
         evaluated += pieces * coords_per_piece
         if evaluated > _COORD_CAP:
             raise ValueError(
-                f"cell cubature needs more than {_COORD_CAP // (n + 1)} density points "
+                f"cell cubature needs more than {_COORD_CAP // (n + 1)} integrand points "
                 f"at n={n}, lam*t={params.lam * t:g}, resolution={m}"
             )
 
@@ -460,7 +468,7 @@ def _expected_masses(cells: SimplexCells, tol: float) -> np.ndarray:
     leaves = [np.empty((0, n + 1, n + 1)), np.empty(0), np.empty(0, np.int64)]
     leaves += [np.empty(0), np.empty(0)]
     while True:
-        new.extend(_piece_integrals(params, t, new[0], new[1], tol))
+        new.extend(_piece_integrals(params, t, new[0], new[1], integrand))
         leaves = [np.concatenate(pair) for pair in zip(leaves, new)]
         simplices, vol, cell, est, err = leaves
         budget = _CUBATURE_RTOL * abs(est.sum())
@@ -507,7 +515,7 @@ def histogram_fit(
     if n_cond == 0:
         raise ValueError("no samples with enough switches to land inside the simplex")
     cells = simplex_cells(params, t, bins)
-    masses = _expected_masses(cells, tol)
+    masses = _expected_masses(cells, lambda x: density_batch(params, x, t, tol))
     expected = masses / masses.sum() * n_cond
     if expected.min() < min_expected:
         raise ValueError(

@@ -82,11 +82,14 @@ class DerivedConstants:
         root = math.exp(math.log(2 * n + 2) / (2 * n + 2))
         alpha = (lam / v) * math.sqrt(n * (n + 1)) / root
         try:
+            # v**n may underflow to 0; lam / v and a division overflow to inf silently
             prefactor = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
             pde_constant = (
                 (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2)
             )
-        except OverflowError:
+            if not all(map(math.isfinite, (alpha, prefactor, pde_constant))):
+                raise OverflowError
+        except (OverflowError, ZeroDivisionError):
             raise OverflowError(
                 f"density constants overflow float64 at n={n}, lam={lam!r}, v={v!r}"
             ) from None

@@ -1,14 +1,20 @@
 """Quadrature over the reachable simplex and the identity-check battery.
 
-Monte Carlo quadrature uses the exact affine map from the standard simplex:
-Dirichlet(1,...,1) weights (normalized exponential spacings) on the vertices
-v*t*tau_i give the uniform law on T_vt, so integrals are
-Vol(T_vt) * sample mean.  The one-dimensional reductions of the
-Beta-integral chain integrate polynomials, so each takes one Gauss-Legendre
-rule that is exact for its degree, summed in log space.  ``adaptive_simpson``
-is kept as a general-purpose oracle for the tests.  The deterministic cell
-masses of ``histogram_fit`` live in ``simulator``; the ``cubature-mass``
-check sums them against ``ac_mass``, and the ``poisson-tail`` check holds
+Two quadratures integrate over T_vt.  The deterministic one is the cell
+cubature of ``histogram_fit`` in ``simulator`` (Grundmann-Moller rules on
+edgewise sub-simplices), which takes any batch integrand: in the dimensions
+of ``_FIT_BINS`` (n <= 3) the ``normalization`` suite integrates the density
+with it against ``ac_mass`` (``cubature-mass``) and the ``bessel-integral``
+suite integrates the kernel against ``analytic_bessel_integral``, both
+within 1e-10.  Beyond n = 3 the cubature's nodes per piece grow too fast,
+and both suites use Monte Carlo quadrature instead, through the exact
+affine map from the standard simplex: Dirichlet(1,...,1) weights
+(normalized exponential spacings) on the vertices v*t*tau_i give the
+uniform law on T_vt, so integrals are Vol(T_vt) * sample mean.  The
+one-dimensional reductions of the Beta-integral chain integrate
+polynomials, so each takes one Gauss-Legendre rule that is exact for its
+degree, summed in log space.  ``adaptive_simpson`` is kept as a
+general-purpose oracle for the tests.  The ``poisson-tail`` check holds
 ``ac_mass`` to ``density._log_poisson_sum``, a direct sum of the Poisson
 terms that shares no code with the incomplete gamma function and is finite
 at every lam t.
@@ -78,8 +84,9 @@ SUITES = (
     "all",
 )
 
-#: ``histogram_fit`` resolution of the mc-fit suite and of the cubature-mass
-#: check, which runs in these dimensions only: the cubature's nodes per piece
+#: ``histogram_fit`` resolution of the mc-fit suite and of the cubature
+#: checks (the density's mass and the kernel integral), which run in these
+#: dimensions only, with Monte Carlo beyond: the cubature's nodes per piece
 #: grow as (n+6)!/(5! (n+1)!)
 _FIT_BINS = {1: 20, 2: 8, 3: 4}
 
@@ -282,16 +289,21 @@ def check_normalization(
     )
 
 
-def check_cubature_mass(params: EvolutionParams, t: float) -> VerificationReport:
-    """Deterministic cell cubature of the density against the Poisson tail:
-    the unnormalized masses that ``histogram_fit`` uses, at its resolution."""
+def _cubature_report(
+    kind: str,
+    params: EvolutionParams,
+    t: float,
+    integrand: Callable[[np.ndarray], np.ndarray],
+    target: float,
+) -> VerificationReport:
+    """Deterministic cell cubature of ``integrand`` over T_vt, at the
+    ``histogram_fit`` resolution, against ``target`` within 1e-10."""
     from .simulator import _expected_masses, simplex_cells  # simulator imports this module
 
     resolution = _FIT_BINS[params.n]
-    total = float(_expected_masses(simplex_cells(params, t, resolution), 1e-12).sum())
-    target = ac_mass(params, t)
+    total = float(_expected_masses(simplex_cells(params, t, resolution), integrand).sum())
     return _report(
-        f"cubature-mass-n={params.n}-lamt={params.lam * t:g}",
+        f"{kind}-n={params.n}-lamt={params.lam * t:g}",
         target,
         total,
         None,
@@ -301,20 +313,37 @@ def check_cubature_mass(params: EvolutionParams, t: float) -> VerificationReport
     )
 
 
+def check_cubature_mass(params: EvolutionParams, t: float) -> VerificationReport:
+    """Cell cubature of the density against the Poisson tail: the
+    unnormalized masses that ``histogram_fit`` uses, at its resolution."""
+    return _cubature_report(
+        "cubature-mass",
+        params,
+        t,
+        lambda pts: density_batch(params, pts, t, 1e-12),
+        ac_mass(params, t),
+    )
+
+
+def _kernel(params: EvolutionParams, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel I(alpha z) on points of T_vt: the top slice at
+    p = pde_constant * prod y."""
+    pde_constant = DerivedConstants.from_params(params).pde_constant
+    n = params.n
+
+    def kernel_batch(pts: np.ndarray) -> np.ndarray:
+        y = np.clip(support_margins(params, pts, t), 0.0, None)
+        return _h_slice(n, n + 1, np.prod(y, axis=1) * pde_constant, 1e-14, 0.0)[0]
+
+    return kernel_batch
+
+
 def check_bessel_integral(
     params: EvolutionParams, t: float, count: int, rng: np.random.Generator | None = None
 ) -> VerificationReport:
     """Monte Carlo integral of the kernel over T_vt against its closed form."""
     rng = rng or np.random.default_rng(0)
-    consts = DerivedConstants.from_params(params)
-    n = params.n
-
-    # the kernel is the top slice at p = pde_constant * prod y
-    def kernel_batch(pts: np.ndarray) -> np.ndarray:
-        y = np.clip(support_margins(params, pts, t), 0.0, None)
-        return _h_slice(n, n + 1, np.prod(y, axis=1) * consts.pde_constant, 1e-14, 0.0)[0]
-
-    est = integrate_over_support(params, t, kernel_batch, count, rng)
+    est = integrate_over_support(params, t, _kernel(params, t), count, rng)
     target = analytic_bessel_integral(params, t)
     return _report(
         f"bessel-integral-n={params.n}-lamt={params.lam * t:g}",
@@ -323,6 +352,13 @@ def check_bessel_integral(
         est.standard_error,
         "within 3 sigma",
         abs(est.value - target) <= 3.0 * est.standard_error,
+    )
+
+
+def check_kernel_cubature(params: EvolutionParams, t: float) -> VerificationReport:
+    """Cell cubature of the kernel over T_vt against its closed form."""
+    return _cubature_report(
+        "bessel-integral", params, t, _kernel(params, t), analytic_bessel_integral(params, t)
     )
 
 
@@ -533,8 +569,11 @@ def run_all(
 ) -> list[VerificationReport]:
     """Execute the selected check suites over a grid of (n, lam*t) pairs.
 
-    ``budget`` scales the Monte Carlo sample counts; zero budget returns an
-    empty report.
+    ``budget`` scales the Monte Carlo sample counts: those of the
+    ``geometry`` and ``mc-fit`` suites, and of ``normalization`` and
+    ``bessel-integral`` for n outside ``_FIT_BINS``, where cubature cannot
+    run.  For n in ``_FIT_BINS`` those two suites integrate by cell
+    cubature, whatever the budget.  Zero budget returns an empty report.
     """
     for s in suites:
         if s not in SUITES:
@@ -563,18 +602,22 @@ def run_all(
     if "normalization" in want:
         for n, lt in grid:
             params = EvolutionParams(n=n, lam=1.0, v=1.0)
-            reports.append(
-                check_normalization(params, lt, budget, np.random.default_rng(seed + 7 * n))
-            )
             if n in _FIT_BINS:
                 reports.append(check_cubature_mass(params, lt))
+            else:
+                reports.append(
+                    check_normalization(params, lt, budget, np.random.default_rng(seed + 7 * n))
+                )
             reports.append(check_series_identity(params, lt))
     if "bessel-integral" in want:
         for n, lt in grid:
             params = EvolutionParams(n=n, lam=1.0, v=1.0)
-            reports.append(
-                check_bessel_integral(params, lt, budget, np.random.default_rng(seed + 13 * n))
-            )
+            if n in _FIT_BINS:
+                reports.append(check_kernel_cubature(params, lt))
+            else:
+                reports.append(
+                    check_bessel_integral(params, lt, budget, np.random.default_rng(seed + 13 * n))
+                )
     if "beta" in want:
         for k in range(0, 11):
             for m in range(1, 6):

@@ -32,6 +32,12 @@ def params(n, lam=1.0, v=1.0):
     return EvolutionParams(n=n, lam=lam, v=v)
 
 
+def _density_masses(cells: SimplexCells) -> np.ndarray:
+    """The density's cell masses, as ``histogram_fit`` integrates them."""
+    p, t = cells.params, cells.t
+    return _expected_masses(cells, lambda x: density_batch(p, x, t, 1e-12))
+
+
 # the uniform Monte Carlo cell tallies that the cubature replaced, verbatim
 def _monte_carlo_masses(
     cells: SimplexCells, quad_points: int, seed: int, tol: float
@@ -128,7 +134,7 @@ class TestCellMasses:
     def test_total_is_ac_mass(self, n, m, lamt):
         p = params(n, lam=2.0, v=0.7)
         t = lamt / p.lam
-        masses = _expected_masses(simplex_cells(p, t, m), 1e-12)
+        masses = _density_masses(simplex_cells(p, t, m))
         assert np.all(masses > 0)
         assert abs(masses.sum() - ac_mass(p, t)) <= 1e-10 * ac_mass(p, t)
 
@@ -136,7 +142,7 @@ class TestCellMasses:
         "lam, v, t, m", [(1.0, 1.0, 2.0, 20), (0.5, 2.0, 1.5, 7), (3.0, 1.0, 10.0, 20)]
     )
     def test_line_matches_quad(self, lam, v, t, m):
-        masses = _expected_masses(simplex_cells(EvolutionParams(1, lam, v), t, m), 1e-12)
+        masses = _density_masses(simplex_cells(EvolutionParams(1, lam, v), t, m))
         edges = np.linspace(-v * t, v * t, m + 1)
         for mass, a, b in zip(masses, edges[:-1], edges[1:]):
             ref, _ = quad(telegraph_density, a, b, args=(t, lam, v), epsabs=1e-15, epsrel=1e-13)
@@ -144,7 +150,7 @@ class TestCellMasses:
 
     def test_deterministic(self):
         cells = simplex_cells(params(2), 100.0, 8)  # refines three times
-        assert _expected_masses(cells, 1e-12).tobytes() == _expected_masses(cells, 1e-12).tobytes()
+        assert _density_masses(cells).tobytes() == _density_masses(cells).tobytes()
 
     @pytest.mark.parametrize("n, m", [(2, 8), (3, 4)])
     def test_monte_carlo_tallies_agree(self, n, m):
@@ -152,7 +158,7 @@ class TestCellMasses:
         # covariance of the tallies comes from an independent uniform sample
         p, t, count = params(n), 2.0, 1_000_000
         cells = simplex_cells(p, t, m)
-        exact = _expected_masses(cells, 1e-12)
+        exact = _density_masses(cells)
         total = exact.sum()
         share = exact / total
         tallies = _monte_carlo_masses(cells, count, 0, 1e-12)
@@ -164,6 +170,21 @@ class TestCellMasses:
         d = (tallies - share)[:-1]
         stat = count * d @ np.linalg.solve(cov[:-1, :-1], d)
         assert chi2.sf(stat, cells.count - 1) > 0.001
+
+
+class TestAnyIntegrand:
+    @pytest.mark.parametrize("n, m", [(1, 7), (2, 8), (3, 4)])
+    def test_polynomials_are_exact(self, n, m):
+        # the degree-11 rule integrates 1 and x_1^2 exactly: the volume, and
+        # E[x_1^2] = (vt)^2 / (n (n+2)) times it under the uniform law
+        p, t = params(n, v=1.3), 0.8
+        cells = simplex_cells(p, t, m)
+        vol = volume(p, t)
+        ones = _expected_masses(cells, lambda x: np.ones(len(x))).sum()
+        assert abs(ones - vol) <= 1e-13 * vol
+        second = _expected_masses(cells, lambda x: x[:, 0] ** 2).sum()
+        target = vol * (p.v * t) ** 2 / (n * (n + 2))
+        assert abs(second - target) <= 1e-13 * target
 
 
 class TestLineLattice:
@@ -197,7 +218,7 @@ class TestLineLattice:
         )
         p = params(1, lam=2.0, v=0.5)
         t = 1000.0 / p.lam
-        masses = _expected_masses(simplex_cells(p, t, 20), 1e-12)
+        masses = _density_masses(simplex_cells(p, t, 20))
         assert len(rounds) > 1
         assert abs(masses.sum() - ac_mass(p, t)) <= 1e-10 * ac_mass(p, t)
 
@@ -206,4 +227,4 @@ def test_point_cap_raises(monkeypatch):
     monkeypatch.setattr(simulator, "_COORD_CAP", 80_000)
     cells = simplex_cells(params(3), 20.0, 4)
     with pytest.raises(ValueError, match=r"n=3, lam\*t=20, resolution=4"):
-        _expected_masses(cells, 1e-12)
+        _density_masses(cells)

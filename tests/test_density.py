@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -29,6 +30,7 @@ from evolvekit.geometry import (
     Membership,
     _vertices,
     _y_affine,
+    classify_batch,
     vertices_at_time,
     volume,
 )
@@ -658,3 +660,25 @@ class TestVtUnderflow:
         got = density(params, origin, t)
         assert got.value == 0.0
         assert got.location is Membership.BOUNDARY
+
+
+class TestConstantsOutOfRange:
+    """Parameters whose density constants leave the float range raise the
+    constants' named OverflowError at an inside point."""
+
+    @pytest.mark.parametrize(
+        "n, lam, v, t",
+        [
+            (8, 1e-10, 1e-154, 1e10),  # v**8 underflows: a ZeroDivisionError before
+            (3, 1e300, 1e-10, 1e-297),  # lam / v is inf: a bare error at lam**3 before
+        ],
+    )
+    def test_inside_point_names_the_parameters(self, n, lam, v, t):
+        params = EvolutionParams(n=n, lam=lam, v=v)
+        origin = np.zeros(n)
+        assert classify_batch(params, origin[None, :], t)[0] is Membership.INSIDE
+        named = re.escape(f"n={n}, lam={lam!r}, v={v!r}")
+        with pytest.raises(OverflowError, match=named):
+            density_batch(params, origin[None, :], t)
+        with pytest.raises(OverflowError, match=named):
+            density(params, origin, t)

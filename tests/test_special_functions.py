@@ -291,9 +291,28 @@ class TestDerivedConstants:
         assert consts.prefactor == pytest.approx(1.0 / 4.0, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "n, lam, v", [(300, 1.0, 1.0), (3, 1.0, 1e300), (3, 1e100, 1.0)]
+        "n, lam, v",
+        [
+            (300, 1.0, 1.0),
+            (3, 1.0, 1e300),
+            (3, 1e100, 1.0),
+            (8, 1e-10, 1e-154),  # v**8 underflows to 0 and divides by it
+            (3, 1e300, 1e-10),  # lam / v overflows to inf without an error
+        ],
     )
     def test_overflow_names_the_parameters(self, n, lam, v):
         named = re.escape(f"n={n}, lam={lam!r}, v={v!r}")
         with pytest.raises(OverflowError, match=named):
             DerivedConstants.from_params(EvolutionParams(n=n, lam=lam, v=v))
+
+    @pytest.mark.parametrize(
+        "n, lam, v", [(1, 3.0, 2.0), (8, 1e-10, 1e-30), (3, 1e60, 1e-10), (40, 0.7, 1.9)]
+    )
+    def test_in_range_values_as_written(self, n, lam, v):
+        consts = DerivedConstants.from_params(EvolutionParams(n=n, lam=lam, v=v))
+        root = math.exp(math.log(2 * n + 2) / (2 * n + 2))
+        assert consts.alpha == (lam / v) * math.sqrt(n * (n + 1)) / root
+        assert consts.prefactor == math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
+        assert consts.pde_constant == (
+            (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2)
+        )

@@ -106,9 +106,15 @@ class TestIntegrateOverSupport:
             assert rep.passed, rep
 
     def test_kernel_integral_suite_passes(self):
+        # on the default grid (n <= 3) the suite integrates by cell cubature
         reports = run_all(budget=200_000, seed=0, suites=("bessel-integral",))
         assert len(reports) == 9
         assert all(rep.passed for rep in reports), reports
+        for r in reports:
+            n, lt = r.name.removeprefix("bessel-integral-n=").split("-lamt=")
+            target = analytic_bessel_integral(params(int(n)), float(lt))
+            assert r.sigma is None and r.info == f"resolution={verification._FIT_BINS[int(n)]}"
+            assert abs(r.estimate - target) <= 1e-12 * target, r
 
     def test_rejects_nonfinite_integrand(self):
         p = params(1)
@@ -330,6 +336,35 @@ class TestRunAll:
             return QuadratureEstimate(est.value * 1.02, est.standard_error, est.samples)
 
         monkeypatch.setattr(verification, "integrate_over_support", off_by_2_percent)
-        reports = run_all(budget=100_000, params_grid=[(1, 1.0)], suites=("normalization",))
+        # n = 4 is past the cubature dimensions, so the Monte Carlo check runs;
+        # at lam t = 5 two percent of the mass (0.73) clears the 5e-3 floor
+        reports = run_all(budget=100_000, params_grid=[(4, 5.0)], suites=("normalization",))
         names = [r.name for r in reports if not r.passed]
         assert any(name.startswith("normalization") for name in names)
+
+    def test_cubature_catches_a_relative_error_of_1e_6(self, monkeypatch):
+        def scaled(f):
+            return lambda *args, **kwargs: f(*args, **kwargs) * (1 + 1e-6)
+
+        grid, suites = [(1, 1.0)], ("normalization", "bessel-integral")
+        assert all(r.passed for r in run_all(budget=1000, params_grid=grid, suites=suites))
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "density_batch", scaled(density_batch))
+            failed = [r.name for r in run_all(budget=1000, params_grid=grid, suites=suites)
+                      if not r.passed]
+        assert failed == ["cubature-mass-n=1-lamt=1"]
+        kernel = verification._kernel
+        monkeypatch.setattr(verification, "_kernel", lambda p, t: scaled(kernel(p, t)))
+        failed = [r.name for r in run_all(budget=1000, params_grid=grid, suites=suites)
+                  if not r.passed]
+        assert failed == ["bessel-integral-n=1-lamt=1"]
+
+    def test_monte_carlo_past_the_cubature_dimensions(self):
+        reports = run_all(
+            budget=20_000, params_grid=[(4, 1.0)], suites=("normalization", "bessel-integral")
+        )
+        assert [r.name for r in reports] == [
+            "normalization-n=4-lamt=1", "series-identity-n=4-lamt=1", "bessel-integral-n=4-lamt=1"
+        ]
+        monte_carlo = [reports[0], reports[2]]
+        assert all(r.sigma is not None and r.passed for r in monte_carlo), monte_carlo
