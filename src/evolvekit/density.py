@@ -53,8 +53,13 @@ oracle.  Its relative rounding grows as eps lam t log(lam t): 1.5e-13 at
 lam t = 1000, past the chain's 1e-12 from about lam t = 1500.
 
 ``jet_operator_density`` evaluates the plain time-operator composite
-prefactor * exp(-lam t) * [lam^n + lam^(n-1) d/dt + ... + d^n/dt^n] I.
-It coincides with ``density`` for n = 1 but does not integrate to
+prefactor * exp(-lam t) * [lam^n + lam^(n-1) d/dt + ... + d^n/dt^n] I
+at one point or at an (N, n) batch, whose inside points share one jet
+series (``_kernel_jet_batch``).  Each point's series stops at the first
+term whose every slot, value and derivatives alike, is at most tol times
+the largest partial sum that slot has reached, so a point's value does not
+depend on the rest of its batch.  It coincides with ``density`` for n = 1
+but does not integrate to
 ``ac_mass`` for n >= 2 (the moving-boundary flux of d/dt I does not vanish),
 so it is kept only as a diagnostic; the verification suite reports the
 comparison.
@@ -222,26 +227,30 @@ def density(
 
 def jet_operator_density(
     params: EvolutionParams, x, t: float, tol: float = 1e-12
-) -> float:
+) -> float | np.ndarray:
     """Time-operator composite
     prefactor * exp(-lam t) * sum_m lam^(n-m) d^m/dt^m I(alpha z(x, t)),
-    with derivatives taken by jets.  Diagnostic only: equals ``density``
-    for n = 1, but is not the endpoint density for n >= 2."""
+    with derivatives taken by jets, zero off the open simplex.  ``x`` is one
+    point, giving a float, or a batch of shape (N, n), giving shape (N,).
+    Diagnostic only: equals ``density`` for n = 1, but is not the endpoint
+    density for n >= 2."""
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
-    X = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    if support_contains(params, X[0], t) is not Membership.INSIDE:
-        return 0.0
-    n = params.n
-    M, s = _y_affine(n)
-    base = X @ M.T + s * (params.v * t)
-    slopes = s * params.v
-    consts = DerivedConstants.from_params(params)
-    G = _kernel_jet_batch(n, consts.alpha, base, slopes, tol)
-    op = sum(
-        params.lam ** (n - m) * math.factorial(m) * G[0, m] for m in range(n + 1)
-    )
-    return consts.prefactor * math.exp(-params.lam * t) * op
+    X = np.asarray(x, dtype=float)
+    single = X.ndim < 2
+    if single:
+        X = np.atleast_1d(X)[None, :]
+    inside = classify_batch(params, X, t) == Membership.INSIDE
+    values = np.zeros(len(X))
+    if inside.any():
+        n = params.n
+        M, s = _y_affine(n)
+        base = X.compress(inside, axis=0) @ M.T + s * (params.v * t)
+        consts = DerivedConstants.from_params(params)
+        G = _kernel_jet_batch(n, consts.alpha, base, s * params.v, tol)
+        op = sum(params.lam ** (n - m) * math.factorial(m) * G[:, m] for m in range(n + 1))
+        values[inside] = consts.prefactor * math.exp(-params.lam * t) * op
+    return float(values[0]) if single else values
 
 
 def _log_poisson_sum(mean: float, first: int, step: int = 1) -> float:

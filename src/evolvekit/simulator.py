@@ -12,12 +12,16 @@ for a given seed regardless of how many workers execute the blocks, and
 results are ordered by sample index.
 
 One path loop, ``_sample_paths``, serves ``simulate_batch`` (a block at a
-time) and ``simulate_path`` (one path on the caller's generator).  Running
-paths stay compacted in sample order as (n, running) position rows; after k
-switches a path's direction is (d0 + k) mod (n+1), a column of the rolled
-direction table.  Each iteration draws one exponential per running path in
-sample order and applies ``pos += (v * min(dt, rem)) * tau[d]; rem -= dt``,
-so the per-block streams and the output bits do not depend on this layout.
+time) and ``simulate_path`` (one path on the caller's generator).  The
+running paths are kept in sample order in one float array of n + 1 rows,
+their coordinates and the time remaining, with one int array of two rows,
+sample index and initial direction d0; after k switches a path's direction
+is (d0 + k) mod (n+1), a column of the rolled direction table.  Each
+iteration draws one exponential per running path in sample order and
+applies ``pos += (v * min(dt, rem)) * tau[d]; rem -= dt``.  On an iteration
+where some paths stop, their positions and switch count are written to
+their sample rows and the two state arrays are compressed once each.  The
+per-block streams and the output bits do not depend on this layout.
 
 ``histogram_fit`` compares conditioned endpoint counts with cell masses of
 the density, which ``_expected_masses`` computes by deterministic
@@ -164,8 +168,7 @@ def _sample_paths(
     params: EvolutionParams, config: SimulationConfig, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Endpoints of ``count`` paths drawn from ``rng``: positions (count, n),
-    switches, initial and current directions.  Running paths are compressed
-    only on iterations where some path stops."""
+    switches, initial and current directions."""
     n = params.n
     cycle = _direction_cycle(n, params.v)
     if config.initial_direction is None:
@@ -174,25 +177,29 @@ def _sample_paths(
         init = np.full(count, config.initial_direction, dtype=np.int64)
     out = np.empty((count, n))
     switches = np.empty(count, dtype=np.int64)
-    order, d0 = np.arange(count), init
-    pos = np.zeros((n, count))
-    remaining = np.full(count, float(config.horizon))
+    state = np.zeros((n + 1, count))  # rows: the n coordinates, time remaining
+    state[n] = config.horizon
+    tags = np.array((np.arange(count), init))  # rows: sample index, initial direction
     k = 0
-    while order.size:
-        dt = rng.exponential(1.0 / params.lam, size=order.size)
-        step = params.v * np.minimum(dt, remaining)
+    while True:
+        remaining = state[n]
+        step = np.minimum(rng.exponential(1.0 / params.lam, size=tags.shape[1]), remaining)
+        keep = step < remaining  # the draw fell short of the time remaining
+        remaining -= step  # the draw itself on every path that runs on
+        step *= params.v
         table = cycle[:, k % (n + 1) :]
         for i in range(n):
-            pos[i] += step * table[i].take(d0)
-        keep = dt < remaining
-        if not keep.all():
+            state[i] += table[i].take(tags[1]) * step
+        del step  # before the compaction below allocates
+        running = np.count_nonzero(keep)
+        if running < keep.size:
             stop = ~keep
-            done = order[stop]
-            out[done] = pos.compress(stop, axis=1).T
+            done = tags[0].compress(stop)
+            out[done] = state[:n].compress(stop, axis=1).T
             switches[done] = k
-            order, d0, remaining, dt = order[keep], d0[keep], remaining[keep], dt[keep]
-            pos = pos.compress(keep, axis=1)
-        remaining -= dt
+            if not running:
+                break
+            state, tags = state.compress(keep, axis=1), tags.compress(keep, axis=1)
         k += 1
     if config.start_point is not None:
         out += config.start_point

@@ -223,30 +223,35 @@ def _kernel_jet_batch(
     The series sum_k c_k P^k in the product jet P follows the coefficient
     recurrence c_k = c_(k-1) (alpha/(n+1))^(n+1) / k^(n+1).  It always
     includes terms up to k = n, which is exact for boundary base points
-    (where P has positive valuation in eps); beyond that the usual
-    next-term stopping rule applies to the value slot.
+    (where P has positive valuation in eps).  Beyond that a point stops at
+    the first term whose every slot is at most tol times the largest
+    partial sum that slot has reached, so its jet does not depend on the
+    rest of the batch.
     """
-    deg = n
-    npts = base.shape[0]
-    P = np.zeros((npts, deg + 1))
+    P = np.zeros((base.shape[0], n + 1))
     P[:, 0] = 1.0
-    factor = np.zeros((npts, deg + 1))
+    factor = np.zeros_like(P)
     for i in range(n + 1):
-        factor[:, :] = 0.0
         factor[:, 0] = base[:, i]
         factor[:, 1] = slopes[i]
         P = _jet_mul(P, factor)
     pde_constant = (alpha / (n + 1)) ** (n + 1)
-    G = np.zeros((npts, deg + 1))
-    term = np.zeros((npts, deg + 1))
+    G = np.zeros_like(P)
+    rows = np.arange(len(P))  # rows of G still summing; acc, scale, term and P hold only these
+    acc, scale, term = np.zeros_like(P), np.zeros_like(P), np.zeros_like(P)
     term[:, 0] = 1.0
-    scale0 = 0.0
     for k in range(1, _SERIES_CAP):
-        G += term
-        scale0 = max(scale0, float(np.max(np.abs(G[:, 0]))), 1e-300)
+        acc += term
+        np.maximum(scale, np.abs(acc), out=scale)
         term = _jet_mul(term, P) * (pde_constant / k ** (n + 1))
-        if k > n and float(np.max(np.abs(term[:, 0]))) < tol * scale0:
-            break
+        if k > n:
+            done = (np.abs(term) <= tol * scale).all(axis=1)
+            G[rows[done]] = acc[done]
+            keep = ~done
+            rows, acc, scale, term, P = (a[keep] for a in (rows, acc, scale, term, P))
+            if not rows.size:
+                break
+    G[rows] = acc  # a point still summing at _SERIES_CAP keeps its partial sums
     return G
 
 

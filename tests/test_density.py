@@ -206,6 +206,58 @@ class TestDensityGeneral:
         assert abs(g - f) / f > 1e-3
 
 
+class TestOperatorCompositeBatch:
+    """``jet_operator_density`` on a batch: one value per row, one jet series."""
+
+    @staticmethod
+    def points(n, lt, count, seed):
+        w = np.random.default_rng(seed).dirichlet(np.ones(n + 1), size=count)
+        return w @ vertices_at_time(EvolutionParams(n=n, lam=1.0, v=1.0), lt)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_point_is_the_one_row_batch(self, n):
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        for x in self.points(n, 2.0, 5, n):
+            got = jet_operator_density(params, x, 2.0)
+            assert type(got) is float
+            batch = jet_operator_density(params, x[None, :], 2.0)
+            assert batch.shape == (1,) and np.float64(got).tobytes() == batch[0].tobytes()
+
+    def test_off_the_open_simplex_reads_zero(self):
+        params = EvolutionParams(n=2, lam=1.0, v=1.0)
+        t = 1.5
+        verts = vertices_at_time(params, t)
+        inside = self.points(2, t, 3, 5)
+        X = np.vstack([inside, verts, 0.5 * (verts[0] + verts[1]), [[3.0, 3.0], [0.0, -2.0]]])
+        got = jet_operator_density(params, X, t)
+        assert got.shape == (len(X),)
+        assert np.all(got[:3] > 0.0) and np.all(got[3:] == 0.0)
+        assert jet_operator_density(params, verts[1], t) == 0.0
+        assert jet_operator_density(params, [3.0, 3.0], t) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_rows_match_single_points(self, n):
+        # each point stops on its own terms, whatever else is in the batch
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        X = self.points(n, 2.0, 40, 7 + n)
+        X[0] = 0.0  # the centre, whose series runs longest
+        got = jet_operator_density(params, X, 2.0)
+        alone = np.array([jet_operator_density(params, x, 2.0) for x in X])
+        assert np.max(np.abs(got - alone) / alone) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lt", [0.5, 2.0])
+    def test_every_slot_converges(self, n, lt):
+        # the series must run until the derivative slots settle, not the
+        # value slot alone, or the default tol is off by up to 3.6e-7 at n = 2
+        params = EvolutionParams(n=n, lam=1.0, v=1.0)
+        X = self.points(n, lt, 200, 100 + n)
+        got = jet_operator_density(params, X, lt, tol=1e-12)
+        tight = jet_operator_density(params, X, lt, tol=1e-16)
+        assert np.all(tight > 0.0)
+        assert np.max(np.abs(got - tight) / tight) <= 1e-11
+
+
 class TestLargeLambdaT:
     """The scaled slice series far past lam t ~ 709, where exp(lam t) overflows."""
 

@@ -63,6 +63,31 @@ def _reference_block(
     return pos, switches, init, d
 
 
+def _reference_path(
+    params: EvolutionParams, config: SimulationConfig, rng: np.random.Generator
+):
+    # one path drawn as a scalar loop: one exponential per holding time, and
+    # a length-1 direction draw when the first direction is uniform
+    n = params.n
+    tau = vertices_at_time(params, 1.0) / params.v
+    if config.initial_direction is None:
+        d = int(rng.integers(0, n + 1, size=1)[0])
+    else:
+        d = config.initial_direction
+    init, pos, remaining, switches = d, np.zeros(n), float(config.horizon), 0
+    while True:
+        dt = float(rng.exponential(1.0 / params.lam, size=1)[0])
+        pos += params.v * min(dt, remaining) * tau[d]
+        if not dt < remaining:
+            break
+        remaining -= dt
+        switches += 1
+        d = (d + 1) % (n + 1)
+    if config.start_point is not None:
+        pos += config.start_point
+    return pos, switches, init, d
+
+
 class TestSimulatePath:
     def test_unswitched_paths_land_on_vertices(self):
         p = params(2, v=1.5)
@@ -105,6 +130,25 @@ class TestSimulatePath:
         margins = _reference_support_margins(p, (s.position - start)[None, :], 1.0)
         assert margins.min() >= -1e-9 * p.v
 
+    @pytest.mark.parametrize("n, direction", [(1, None), (2, 1), (3, None)])
+    def test_draws_match_one_path_reference(self, n, direction):
+        # a loop that drew one number too many or too few would leave the
+        # caller's generator elsewhere after 50 paths
+        p = params(n, lam=1.3, v=0.8)
+        start = np.linspace(-1.0, 2.0, n)
+        config = SimulationConfig(
+            seed=0, samples=1, horizon=1.5, initial_direction=direction, start_point=start
+        )
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(50):
+            got = simulate_path(p, config, rng)
+            pos, switches, init, current = _reference_path(p, config, ref)
+            assert got.position.tobytes() == pos.tobytes()
+            assert (got.switches, got.initial_direction, got.current_direction) == (
+                switches, init, current
+            )
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
             simulate_path(
@@ -135,6 +179,18 @@ class TestBlockPin:
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1.0, 2.0, 100.0])
+    def test_full_block_matches_reference(self, n, t):
+        # a whole block: many iterations retire paths, in chunks of every size
+        p = params(n)
+        config = SimulationConfig(seed=23 + n, samples=1, horizon=t)
+        got = _simulate_block(p, config, 1, BLOCK_SIZE)
+        want = _reference_block(p, config, 1, BLOCK_SIZE)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestSimulateBatch:
