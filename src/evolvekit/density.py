@@ -46,11 +46,11 @@ truncated sum.  Densities below the float64 range (5e-324) read 0.
 
 The Poisson-weight identities share one log-space sum, ``_log_poisson_sum``,
 finite at every lam t: the tail P{N(t) >= n} of
-``normalization_series_identity``, the exponents n, 2n+1, ... of
+``normalization_series_identity`` and the exponents n, 2n+1, ... of
 ``analytic_bessel_integral`` (which raises ``OverflowError`` past the float
-range, from about lam t = 710 at n = 1 and v = lam) and the ``poisson-tail``
-oracle.  Its relative rounding grows as eps lam t log(lam t): 1.5e-13 at
-lam t = 1000, past the chain's 1e-12 from about lam t = 1500.
+range, from about lam t = 710 at n = 1 and v = lam).  Its relative
+rounding grows as eps lam t log(lam t): 1.5e-13 at lam t = 1000, past the
+chain's 1e-12 from about lam t = 1500.
 
 ``jet_operator_density`` evaluates the plain time-operator composite
 prefactor * exp(-lam t) * [lam^n + lam^(n-1) d/dt + ... + d^n/dt^n] I
@@ -59,10 +59,9 @@ series (``_kernel_jet_batch``).  Each point's series stops at the first
 term whose every slot, value and derivatives alike, is at most tol times
 the largest partial sum that slot has reached, so a point's value does not
 depend on the rest of its batch.  It coincides with ``density`` for n = 1
-but does not integrate to
-``ac_mass`` for n >= 2 (the moving-boundary flux of d/dt I does not vanish),
-so it is kept only as a diagnostic; the verification suite reports the
-comparison.
+but does not integrate to ``ac_mass`` for n >= 2 (the moving-boundary flux
+of d/dt I does not vanish), so it is kept only as a diagnostic; the
+verification suite reports the comparison.
 """
 
 from __future__ import annotations
@@ -233,7 +232,8 @@ def jet_operator_density(
     with derivatives taken by jets, zero off the open simplex.  ``x`` is one
     point, giving a float, or a batch of shape (N, n), giving shape (N,).
     Diagnostic only: equals ``density`` for n = 1, but is not the endpoint
-    density for n >= 2."""
+    density for n >= 2.  Raises ``OverflowError`` naming n and lam t where
+    the unscaled jets leave the float range (from about lam t = 709)."""
     if not t > 0:
         raise ValueError(f"time t must be > 0, got {t}")
     X = np.asarray(x, dtype=float)
@@ -247,9 +247,12 @@ def jet_operator_density(
         M, s = _y_affine(n)
         base = X.compress(inside, axis=0) @ M.T + s * (params.v * t)
         consts = DerivedConstants.from_params(params)
-        G = _kernel_jet_batch(n, consts.alpha, base, s * params.v, tol)
-        op = sum(params.lam ** (n - m) * math.factorial(m) * G[:, m] for m in range(n + 1))
-        values[inside] = consts.prefactor * math.exp(-params.lam * t) * op
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = _kernel_jet_batch(n, consts.alpha, base, s * params.v, tol)
+            op = sum(params.lam ** (n - m) * math.factorial(m) * G[:, m] for m in range(n + 1))
+            values[inside] = consts.prefactor * math.exp(-params.lam * t) * op
+        if not np.isfinite(values).all():
+            raise OverflowError(f"jet composite overflows at n={n}, lam*t={params.lam * t:g}")
     return float(values[0]) if single else values
 
 

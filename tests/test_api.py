@@ -36,19 +36,20 @@ def test_retired_names_are_gone():
 
 
 def test_runtime_never_loads_scipy_stats():
-    # a fit and the singular-mass checks in a fresh interpreter: scipy.stats
-    # alone costs about a second of import time
+    # a fit, the singular-mass checks and the Poisson tail sum in a fresh
+    # interpreter: scipy.stats alone costs about a second of import time
     script = """
 import sys
 import evolvekit.cli  # the console script's import graph
 from evolvekit.geometry import EvolutionParams
 from evolvekit.simulator import SimulationConfig, histogram_fit, simulate_batch
-from evolvekit.verification import check_singular_mass
+from evolvekit.verification import check_series_identity, check_singular_mass
 
 p = EvolutionParams(n=2, lam=1.0, v=1.0)
 data = simulate_batch(p, SimulationConfig(seed=0, samples=5000, horizon=2.0))
 assert 0.0 <= histogram_fit(p, data, bins=4).p_value <= 1.0
 assert check_singular_mass(p, 2.0, data)[-1].passed
+assert check_series_identity(p, 2.0).passed
 assert "scipy.stats" not in sys.modules, "evolvekit loaded scipy.stats"
 """
     env = dict(os.environ)

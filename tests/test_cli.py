@@ -345,8 +345,8 @@ class TestVerifyCommand:
     def test_report_only_checks_counted_apart(self, capsys):
         assert run_cli(["verify", "--suite", "all", "--budget", "200000"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"] == {"pass": 129, "fail": 0, "report_only": 2}
-        assert len(payload["checks"]) == 131
+        assert payload["counts"] == {"pass": 114, "fail": 0, "report_only": 2}
+        assert len(payload["checks"]) == 116
 
     def test_zero_budget_distinct_status(self, capsys):
         assert run_cli(["verify", "--suite", "geometry", "--budget", "0"]) == 0

@@ -257,6 +257,21 @@ class TestOperatorCompositeBatch:
         assert np.all(tight > 0.0)
         assert np.max(np.abs(got - tight) / tight) <= 1e-11
 
+    def test_one_point_past_the_jet_range_raises(self):
+        # the unscaled jets overflow to inf and exp(-800) underflows to 0;
+        # their product would be NaN where density gives 0.0141
+        params = EvolutionParams(n=1, lam=1.0, v=1.0)
+        assert math.isfinite(jet_operator_density(params, [0.0], 700.0))
+        with pytest.raises(OverflowError, match=r"n=1, lam\*t=800"):
+            jet_operator_density(params, [0.0], 800.0)
+
+    def test_batch_past_the_jet_range_raises(self):
+        params = EvolutionParams(n=2, lam=1.0, v=1.0)
+        X = np.array([[0.0, 0.0], [0.1, -0.05]])
+        assert np.all(np.isfinite(jet_operator_density(params, X, 700.0)))
+        with pytest.raises(OverflowError, match=r"n=2, lam\*t=800"):
+            jet_operator_density(params, X, 800.0)
+
 
 class TestLargeLambdaT:
     """The scaled slice series far past lam t ~ 709, where exp(lam t) overflows."""

@@ -11,15 +11,15 @@ import evolvekit.verification as verification
 
 from evolvekit.density import _log_poisson_sum, ac_mass, analytic_bessel_integral, density_batch
 from evolvekit.geometry import EvolutionParams, Membership, classify_batch, volume
-from evolvekit.simulator import SimulationConfig, simulate_batch
 from evolvekit.verification import (
     QuadratureEstimate,
     _gauss_legendre,
     adaptive_simpson,
     check_beta_integrals,
+    check_coefficient_recurrence,
     check_normalization,
     check_series_identity,
-    check_singular_mass,
+    check_volume_mc,
     integrate_over_support,
     run_all,
     sample_uniform_simplex,
@@ -284,14 +284,14 @@ class TestSingularMass:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tail_check_catches_a_relative_error_of_1e_10(self, n, monkeypatch):
-        p = params(n)
-        data = simulate_batch(p, SimulationConfig(seed=n, samples=1000, horizon=2.0))
-        tail = check_singular_mass(p, 2.0, data)[-1]
-        assert tail.name == f"poisson-tail-n={n}" and tail.passed
+        # the series identity holds ac_mass to the direct Poisson tail sum
+        rep = check_series_identity(params(n), 2.0)
+        assert rep.name == f"series-identity-n={n}-lamt=2" and rep.passed
+        density_module = sys.modules["evolvekit.density"]
         monkeypatch.setattr(
-            verification, "ac_mass", lambda params, t: ac_mass(params, t) * (1 + 1e-10)
+            density_module, "ac_mass", lambda params, t: ac_mass(params, t) * (1 + 1e-10)
         )
-        assert not check_singular_mass(p, 2.0, data)[-1].passed
+        assert not check_series_identity(params(n), 2.0).passed
 
 
 class TestRunAll:
@@ -306,6 +306,24 @@ class TestRunAll:
         reports = run_all(budget=1000, suites=("coefficients", "beta", "remark"))
         assert reports
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize(
+        "grid", [None, [(4, 0.5), (4, 1.0), (4, 2.0)]], ids=["default", "n=4"]
+    )
+    def test_report_names_are_unique(self, grid):
+        names = [r.name for r in run_all(params_grid=grid, budget=2_000)]
+        assert len(names) == len(set(names))
+
+    def test_checks_of_n_alone_run_once_per_dimension(self):
+        # at the first lam t the grid lists for n, in the grid's order
+        grid = [(2, 1.0), (2, 0.5), (2, 2.0)]
+        reports = run_all(params_grid=grid, budget=20_000, suites=("geometry", "coefficients"))
+        volume_mc = [r for r in reports if r.name == "volume-mc-n=2"]
+        recurrence = [r for r in reports if r.name == "coefficient-recurrence-n=2"]
+        assert len(volume_mc) == len(recurrence) == 1
+        assert volume_mc[0] == check_volume_mc(params(2), 1.0, 20_000, np.random.default_rng(2))
+        alpha = verification.DerivedConstants.from_params(params(2)).alpha
+        assert recurrence[0] == check_coefficient_recurrence(2, alpha)
 
     def test_cubature_mass_per_grid_case(self):
         def cubature(grid):
