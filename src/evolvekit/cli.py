@@ -6,6 +6,13 @@ JSON manifest sidecar (<out>.manifest.json) recording the command, the full
 parameter set, the seed, the artifact version and a timestamp; the sidecar
 is written only once its data file is complete.
 
+CSV rows hold exactly the bytes of C ``%.17g`` for floats, ``%d`` for
+integers and ``%s`` for labels, but ``_csv_rows`` builds them a column at a
+time in numpy: a fixed-notation float (1e-4 <= |x| < 1e17, and +-0) from its
+correctly rounded 17-digit significand, which an error-free product with an
+exact power of ten gives, a non-negative integer below 1e17 from its digits,
+and every other value through ``%`` once per distinct value.
+
 Exit status: 0 success / all checks passed, 1 verification failure,
 2 usage error or a result beyond the float range.
 """
@@ -30,19 +37,170 @@ from .special_functions import DerivedConstants
 from .verification import SUITES, run_all
 
 
-def _csv_template(floats: int, *tail: str) -> str:
-    """%-template of one CSV line: ``floats`` fields as ``%.17g``, then ``tail``.
+_ROWS = 16_384  # rows per formatted slab; bounds the writer's byte arrays
+_POW10 = np.array([float(10**i) for i in range(23)])  # 1e0..1e22, all exact doubles
+_SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+_PLACES = np.arange(1, 18, dtype=np.int8)[:, None]  # 1-based place of each of 17 digits
+_TAIL_ROWS = np.arange(6, 24, dtype=np.int8)[:, None]  # block rows of the digits and after
 
-    C ``%.17g`` prints a Python float exactly as ``"{:.17g}".format`` does,
-    ``-0``, ``nan`` and ``inf`` included, and 17 significant digits round-trip
-    every float64.
+
+def _prefixes() -> np.ndarray:
+    """Bytes before the digits of a fixed-notation field, right-aligned in 6
+    NUL-padded bytes; column ``21 * negative + k + 4`` for exponents k = -4..16.
+
+    For k < 0 that is the sign, ``0.`` and -1 - k zeros; for k >= 0 the sign
+    and one byte that the first digit takes over.
     """
-    return ",".join(["%.17g"] * floats + list(tail)) + "\n"
+    table = np.zeros((6, 42), np.uint8)
+    for code in range(42):
+        negative, k = divmod(code, 21)
+        k -= 4
+        text = ("-" if negative else "") + ("0." + "0" * (-1 - k) if k < 0 else "?")
+        table[6 - len(text):, code] = np.frombuffer(text.encode(), np.uint8)
+    return table
 
 
-def _format_rows(template: str, columns) -> str:
-    """``template % row`` for each row of ``columns`` (equal-length lists), joined."""
-    return "".join([template % row for row in zip(*columns)])
+_PREFIXES = _prefixes()
+
+
+def _halves(a):
+    big = a * _SPLITTER
+    high = big - (big - a)
+    return high, a - high
+
+
+def _significand(a, k):
+    """``a * 10**(16 - k)`` rounded to the nearest int64, ties to even, exactly.
+
+    ``10**(16 - k)`` is an exact double for k = -6..16, and Dekker's TwoProduct
+    writes the product as ``p + e`` with no error.  Where the result has 17
+    digits ``p`` is an even integer, so rounding ``e`` rounds the product.
+    """
+    s = _POW10[16 - k]
+    p = a * s
+    ah, al = _halves(a)
+    sh, sl = _halves(s)
+    e = al * sl - (((p - ah * sh) - al * sh) - ah * sl)
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digits(out, v) -> None:
+    """Write the last ``len(out)`` decimal digits of ``v`` (0 <= v < 1e17) as
+    ASCII, most significant in ``out[0]``."""
+    high = v // 100_000_000
+    x = (v - high * 100_000_000).astype(np.uint32)
+    for j in range(len(out)):
+        if j == 8:
+            x = high.astype(np.uint32)
+        q = x // 10
+        np.copyto(out[-1 - j], x - q * 10, casting="unsafe")
+        x = q
+    out += ord("0")
+
+
+class _Text:
+    """``fmt % v`` for some entries of a column, formatted once per distinct value."""
+
+    def __init__(self, rows, values, fmt: str):
+        distinct, self.inverse = np.unique(values, return_inverse=True)
+        texts = [fmt % v for v in distinct.tolist()]
+        self.rows = rows
+        self.table = np.array(texts, dtype=bytes)
+        self.lengths = np.array([len(t) for t in texts], dtype=np.intp)
+
+    def put(self, block, sep: int) -> None:
+        """Write each text and ``sep`` after it into its column of the block."""
+        if not len(self.rows):
+            return
+        width = self.table.itemsize
+        block[:, self.rows] = 0
+        block[:width, self.rows] = self.table.view(np.uint8).reshape(-1, width)[self.inverse].T
+        block[self.lengths[self.inverse], self.rows] = sep
+
+
+def _float_field(x, sep: int):
+    """``%.17g`` of float64 ``x`` and ``sep`` after each, as a (bytes, rows)
+    block, NUL where a field is shorter than the block.
+
+    Fixed notation (1e-4 <= |x| < 1e17 after rounding, and +-0) comes from the
+    correctly rounded 17-digit significand: rows 0..5 of the block hold the
+    sign and ``0.000`` prefix, right-aligned, and rows 6..22 the digits.  For
+    k >= 0 the integer digits move one row up, over the prefix, and the dot
+    takes the place of the last one.  Scientific notation, inf and nan go
+    through ``%``.
+    """
+    a = np.abs(x)
+    usual = (a >= 1e-5) & (a < 1e17)
+    a[~usual] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(k, -6, 16, out=k)
+    D = _significand(a, k)
+    off = np.flatnonzero((D < 10**16) | (D >= 10**17))  # log10 off by one, or rounded up to 1e17
+    if len(off):
+        k[off] += np.where(D[off] < 10**16, -1, 1)
+        D[off] = _significand(a[off], np.clip(k[off], -6, 16))
+    fixed = usual & (k >= -4) & (k <= 16) & (D >= 10**16) & (D < 10**17)
+    D[~fixed] = 0
+    k = np.where(fixed, k, 0).astype(np.int8)
+    rest = ~fixed & (x != 0)
+    other = _Text(np.flatnonzero(rest), x[rest], "%.17g")
+    block = np.zeros((max(24, other.table.itemsize + 1), len(x)), np.uint8)
+    np.take(_PREFIXES, np.signbit(x) * 21 + (k + 4), axis=1, out=block[:6])
+    _digits(block[6:23], D)
+    nz = ((block[6:23] != ord("0")) * _PLACES).max(axis=0)  # 17 less the trailing zeros
+    for p in range(5, 7 + int(k.max())):
+        block[p] = np.where(k >= p - 5, block[p + 1], np.where(k == p - 6, ord("."), block[p]))
+    end = np.where(nz > k + 1, 6 + nz, 6 + k)
+    tail = block[6:24]
+    tail *= _TAIL_ROWS < end
+    tail += (_TAIL_ROWS == end) * np.uint8(sep)
+    other.put(block, sep)
+    return block
+
+
+def _int_field(v, sep: int):
+    """``%d`` of int64 ``v``, as ``_float_field`` does: 0 <= v < 1e17 from
+    the digits, right-aligned, and the rest through ``%``."""
+    usual = (v >= 0) & (v < 10**17)
+    other = _Text(np.flatnonzero(~usual), v[~usual], "%d")
+    u = np.where(usual, v, 0)
+    digits = len(str(u.max()))
+    block = np.zeros((max(digits, other.table.itemsize) + 1, len(v)), np.uint8)
+    _digits(block[:digits], u)
+    for j in range(digits - 1):
+        block[j] *= u >= 10 ** (digits - 1 - j)  # leading zeros
+    block[digits] = sep
+    other.put(block, sep)
+    return block
+
+
+def _field(column, sep: int):
+    if column.dtype.kind == "f":
+        return _float_field(column.astype(np.float64), sep)
+    if column.dtype.kind == "i":
+        return _int_field(column.astype(np.int64), sep)
+    text = _Text(np.arange(len(column)), column.astype(str), "%s")
+    block = np.zeros((text.table.itemsize + 1, len(column)), np.uint8)
+    text.put(block, sep)
+    return block
+
+
+def _csv_rows(columns) -> str:
+    """CSV lines of equal-length 1-D arrays, the bytes that ``"%.17g,...,%d,%s\\n"``
+    would give row by row: floats ``%.17g``, integers ``%d``, anything else ``%s``.
+
+    Each column becomes a block of fields as ``_float_field`` describes; the
+    blocks are stacked, turned row-major and stripped of NUL.  Text holds no
+    NUL byte, so every other byte is output.
+    """
+    columns = [np.asarray(c) for c in columns]
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    chunks = []
+    for start in range(0, len(columns[0]), _ROWS):
+        block = np.concatenate([_field(c[start : start + _ROWS], sep) for c, sep in zip(columns, seps)])
+        flat = np.ascontiguousarray(block.T).ravel()
+        chunks.append(flat[flat != 0])
+    return b"".join(chunks).decode("ascii")
 
 
 def _write_file(path: str, write) -> None:
@@ -114,8 +272,8 @@ def cmd_geometry(args) -> int:
         keys = sorted(constants)
         text = (
             ",".join(f"x_{j + 1}" for j in range(n)) + "\n"
-            + _format_rows(_csv_template(n), geom.vertices.T.tolist())
-            + _format_rows("# %s=%.17g\n", [keys, [constants[k] for k in keys]])
+            + _csv_rows(geom.vertices.T)
+            + "".join("# %s=%.17g\n" % (key, constants[key]) for key in keys)
         )
     _emit(text, args.out, "geometry", {"n": n, "format": args.format}, None)
     return 0
@@ -190,10 +348,7 @@ def cmd_density(args) -> int:
     else:
         text = (
             ",".join(f"x_{j + 1}" for j in range(params.n)) + ",membership,density\n"
-            + _format_rows(
-                _csv_template(params.n, "%s", "%.17g"),
-                [*pts.T.tolist(), location.tolist(), values.tolist()],
-            )
+            + _csv_rows([*pts.T, location, values])
             + "# ac_mass=%.17g,boundary_probability=%.17g\n" % (mass, singular)
         )
     _emit(text, args.out, "density", parameters, None)
@@ -221,19 +376,16 @@ def cmd_simulate(args) -> int:
         ",".join(f"x_{j + 1}" for j in range(params.n))
         + ",switches,initial_direction,current_direction\n"
     )
-    row = _csv_template(params.n, "%d", "%d", "%d")
-
     def write(fh) -> None:
         fh.write(header)
         for start in range(0, len(data), BLOCK_SIZE):
             part = slice(start, start + BLOCK_SIZE)
-            cols = [
-                *data.positions[part].T.tolist(),
-                data.switches[part].tolist(),
-                data.initial_direction[part].tolist(),
-                data.current_direction[part].tolist(),
-            ]
-            fh.write(_format_rows(row, cols))
+            fh.write(_csv_rows([
+                *data.positions[part].T,
+                data.switches[part],
+                data.initial_direction[part],
+                data.current_direction[part],
+            ]))
 
     parameters = {
         "n": params.n, "lambda": params.lam, "v": params.v, "t": args.t,

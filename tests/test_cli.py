@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evolvekit.cli import _csv_template, _format_rows, _parse_grid, _write_file, main
+from evolvekit.cli import _csv_rows, _parse_grid, _write_file, main
 from evolvekit.density import ac_mass, boundary_probability, density_batch
 from evolvekit.geometry import EvolutionParams, build_simplex, classify_batch
 from evolvekit.simulator import BLOCK_SIZE, SimulationConfig, simulate_batch
@@ -21,11 +23,53 @@ def _fmt(x):
     return "{:.17g}".format(float(x))
 
 
+def _hostile_floats() -> np.ndarray:
+    """Powers of ten and their neighbours, raw bit patterns, exact rounding
+    ties, and the points where %.17g switches notation; both signs."""
+    powers = 10.0 ** np.arange(-5, 19)
+    values = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]
+    rng = np.random.default_rng(20)
+    values.append(rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64))
+    values.append((2 * rng.integers(0, 2**40, size=20_000) + 1) / 2**17)  # ties, e.g. 1 + 2**-17
+    switches = np.array([1e-4, 1e16, 1e17])
+    values += [switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf)]
+    values.append(np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan]))
+    x = np.concatenate(values)
+    return np.concatenate([x, -x])
+
+
 class TestRowFormatter:
     def test_special_floats_match_format(self):
         values = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, -1 / 3]
-        got = _format_rows(_csv_template(len(values), "%d"), [[v] for v in values] + [[-3]])
+        got = _csv_rows([np.array([v]) for v in values] + [np.array([-3])])
         assert got == ",".join(_fmt(v) for v in values) + f",{np.int64(-3)}\n"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float_matches_format(self, values):
+        got = _csv_rows([np.array(values, dtype=np.float64)]).split("\n")
+        assert got == ["%.17g" % v for v in values] + [""]
+
+    def test_hostile_floats_match_format(self):
+        x = _hostile_floats()
+        got = _csv_rows([x]).split("\n")
+        want = ["%.17g" % v for v in x.tolist()] + [""]
+        bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+        assert not bad and len(got) == len(want)
+
+    def test_ints_match_format(self):
+        v = np.array([-3, 0, 9, 10, 10**6, 2**62, 10**17 - 1, 10**17, -(2**63), 2**63 - 1])
+        assert _csv_rows([v]) == "".join("%d\n" % i for i in v.tolist())
+
+    def test_mixed_columns_match_row_format(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(50) * 10.0 ** rng.integers(-8, 20, 50)
+        x[[3, 7, 11]] = [np.nan, -0.0, 150.0]
+        labels = np.array(["inside", "boundary", "outside", "b"] * 12 + ["x", "y"], dtype=object)
+        counts = rng.integers(-5, 10**9, 50)
+        got = _csv_rows([x, labels, counts, x[::-1]])
+        rows = zip(x.tolist(), labels.tolist(), counts.tolist(), x[::-1].tolist())
+        assert got == "".join("%.17g,%s,%d,%.17g\n" % row for row in rows)
 
     def test_geometry_bytes_match_old_writer(self, capsys):
         assert run_cli(["geometry", "--n", "3"]) == 0
@@ -287,27 +331,31 @@ class TestSimulateCommand:
 
 
     @pytest.mark.parametrize(
-        "n, policy, samples",
+        "n, policy, samples, t, v",
         [
-            (1, "uniform", 500),
-            (1, "fixed:1", 500),
-            (2, "uniform", BLOCK_SIZE + 1),
-            (2, "fixed:1", 500),
-            (3, "uniform", 500),
-            (3, "fixed:1", 500),
+            pytest.param(1, "uniform", 500, 1.5, 1.0, id="1-uniform-500"),
+            pytest.param(1, "fixed:1", 500, 1.5, 1.0, id="1-fixed:1-500"),
+            pytest.param(2, "uniform", BLOCK_SIZE + 1, 1.5, 1.0, id="2-uniform-65537"),
+            pytest.param(2, "fixed:1", 500, 1.5, 1.0, id="2-fixed:1-500"),
+            pytest.param(3, "uniform", 500, 1.5, 1.0, id="3-uniform-500"),
+            pytest.param(3, "fixed:1", 500, 1.5, 1.0, id="3-fixed:1-500"),
+            # the dot falls inside the digits
+            pytest.param(2, "uniform", 500, 150.0, 1.0, id="2-uniform-500-t=150"),
+            # every position is printed in scientific notation
+            pytest.param(2, "uniform", 500, 1.5, 1e-7, id="2-uniform-500-v=1e-07"),
         ],
     )
-    def test_bytes_match_old_writer(self, tmp_path, n, policy, samples):
+    def test_bytes_match_old_writer(self, tmp_path, n, policy, samples, t, v):
         out = tmp_path / "paths.csv"
         assert run_cli(
-            ["simulate", "--n", str(n), "--lambda", "2", "--t", "1.5", "--samples",
-             str(samples), "--seed", "11", "--policy", policy, "--out", str(out)]
+            ["simulate", "--n", str(n), "--lambda", "2", "--v", str(v), "--t", str(t),
+             "--samples", str(samples), "--seed", "11", "--policy", policy, "--out", str(out)]
         ) == 0
         config = SimulationConfig(
-            seed=11, samples=samples, horizon=1.5,
+            seed=11, samples=samples, horizon=t,
             initial_direction=None if policy == "uniform" else 1,
         )
-        data = simulate_batch(EvolutionParams(n=n, lam=2.0, v=1.0), config, workers=1)
+        data = simulate_batch(EvolutionParams(n=n, lam=2.0, v=v), config, workers=1)
         header = ",".join(f"x_{j + 1}" for j in range(n))
         lines = [header + ",switches,initial_direction,current_direction"]
         for i in range(len(data)):
