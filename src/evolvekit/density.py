@@ -349,7 +349,7 @@ def normalization_series_identity(params: EvolutionParams, t: float) -> float:
     result = consts.prefactor * coeff * math.exp(_log_poisson_sum(lt, n))
 
     target = ac_mass(params, t)
-    if not abs(result - target) <= 1e-12 * max(1.0, abs(target)):
+    if not abs(result - target) <= 1e-12 * abs(target):
         raise AssertionError(
             f"normalization chain mismatch: series {result!r} vs mass {target!r}"
         )

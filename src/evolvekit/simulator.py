@@ -12,7 +12,13 @@ for a given seed regardless of how many workers execute the blocks, and
 results are ordered by sample index.
 
 One path loop, ``_sample_paths``, serves ``simulate_batch`` (a block at a
-time) and ``simulate_path`` (one path on the caller's generator).  The
+time) and ``simulate_path`` (one path on the caller's generator), and
+writes the endpoints into arrays its caller passes.  ``simulate_batch``
+allocates a batch's columns once and fills them in place, block by block:
+in process each block's loop writes straight into the block's rows, a
+worker pool's blocks are copied into those rows, and the current
+directions are formed once for the whole batch.  Each block still draws
+from its own stream, so the bits are those of the block sampled alone.  The
 running paths are kept in sample order in one float array of n + 1 rows,
 their coordinates and the time remaining, with one int array of two rows,
 sample index and initial direction d0; after k switches a path's direction
@@ -143,11 +149,12 @@ def simulate_path(
     speed v, stopped exactly at the horizon.  Draws from ``rng`` through the
     same path loop as ``simulate_batch``."""
     _check_config(params, config)
-    pos, switches, init, current = _sample_paths(params, config, rng, 1)
+    pos, switches, init = _endpoint_arrays(1, params.n)
+    _sample_paths(params, config, rng, pos, switches, init)
     return PathSample(
         position=pos[0],
         switches=int(switches[0]),
-        current_direction=int(current[0]),
+        current_direction=int((init[0] + switches[0]) % (params.n + 1)),
         initial_direction=int(init[0]),
     )
 
@@ -164,19 +171,29 @@ def _direction_cycle(n: int, v: float) -> np.ndarray:
     return cycle
 
 
+def _endpoint_arrays(count: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empty positions (count, n), switch counts and initial directions."""
+    return np.empty((count, n)), np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+
+
 def _sample_paths(
-    params: EvolutionParams, config: SimulationConfig, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoints of ``count`` paths drawn from ``rng``: positions (count, n),
-    switches, initial and current directions."""
+    params: EvolutionParams,
+    config: SimulationConfig,
+    rng: np.random.Generator,
+    out: np.ndarray,
+    switches: np.ndarray,
+    init: np.ndarray,
+) -> None:
+    """Draw ``len(switches)`` paths from ``rng`` and write their endpoints to
+    ``out`` (count, n), their switch counts to ``switches`` and their initial
+    directions to ``init``."""
     n = params.n
+    count = len(switches)
     cycle = _direction_cycle(n, params.v)
     if config.initial_direction is None:
-        init = rng.integers(0, n + 1, size=count)
+        init[:] = rng.integers(0, n + 1, size=count)
     else:
-        init = np.full(count, config.initial_direction, dtype=np.int64)
-    out = np.empty((count, n))
-    switches = np.empty(count, dtype=np.int64)
+        init.fill(config.initial_direction)
     state = np.zeros((n + 1, count))  # rows: the n coordinates, time remaining
     state[n] = config.horizon
     tags = np.array((np.arange(count), init))  # rows: sample index, initial direction
@@ -203,16 +220,22 @@ def _sample_paths(
         k += 1
     if config.start_point is not None:
         out += config.start_point
-    return out, switches, init, (init + switches) % (n + 1)
+
+
+def _block_rng(config: SimulationConfig, block_index: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=(int(config.seed), block_index)))
+    )
 
 
 def _simulate_block(
     params: EvolutionParams, config: SimulationConfig, block_index: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(int(config.seed), block_index)))
-    )
-    return _sample_paths(params, config, rng, count)
+    """One block's positions, switches, initial and current directions in
+    arrays of its own: the task of a pool worker."""
+    pos, switches, init = _endpoint_arrays(count, params.n)
+    _sample_paths(params, config, _block_rng(config, block_index), pos, switches, init)
+    return pos, switches, init, (init + switches) % (params.n + 1)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -239,21 +262,26 @@ def simulate_batch(
         (j, min(BLOCK_SIZE, total - j * BLOCK_SIZE))
         for j in range((total + BLOCK_SIZE - 1) // BLOCK_SIZE)
     ]
+    pos, sw, init = _endpoint_arrays(total, params.n)
     nworkers = _worker_count(workers)
     if nworkers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(
-                pool.map(
-                    _simulate_block,
-                    [params] * len(blocks),
-                    [config] * len(blocks),
-                    [j for j, _ in blocks],
-                    [c for _, c in blocks],
-                )
+            parts = pool.map(
+                _simulate_block,
+                [params] * len(blocks),
+                [config] * len(blocks),
+                [j for j, _ in blocks],
+                [c for _, c in blocks],
             )
+            for (j, _), part in zip(blocks, parts):
+                rows = slice(j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE)
+                pos[rows], sw[rows], init[rows] = part[:3]
     else:
-        parts = [_simulate_block(params, config, j, c) for j, c in blocks]
-    pos, sw, init, cur = (np.concatenate(column) for column in zip(*parts))
+        for j, _ in blocks:
+            rows = slice(j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE)
+            _sample_paths(params, config, _block_rng(config, j), pos[rows], sw[rows], init[rows])
+    cur = init + sw
+    cur %= params.n + 1
     for arr in (pos, sw, init, cur):
         arr.setflags(write=False)
     return PathDataset(
@@ -299,7 +327,10 @@ class SimplexCells:
             idx = np.floor((x[:, 0] + vt) / (2 * vt) * m).astype(np.int64)
             return np.clip(idx, 0, m - 1)
         w = barycentric_coordinates(self.params, x, self.t)
-        c = np.floor(m * np.clip(w, 0.0, 1.0 - 1e-12)).astype(np.int64)
+        np.clip(w, 0.0, 1.0 - 1e-12, out=w)
+        w *= m
+        c = np.floor(w, out=w).astype(np.int64)
+        del w  # before the key sums below allocate
         over = c.sum(axis=1) > m - 1
         for row in np.nonzero(over)[0]:  # exact lattice hits, measure zero
             while c[row].sum() > m - 1:
@@ -529,7 +560,9 @@ def histogram_fit(
             f"smallest expected cell count {expected.min():.2f} < {min_expected}; "
             "coarsen the binning"
         )
-    observed = np.bincount(cells.assign(dataset.positions[cond]), minlength=cells.count)
+    observed = np.bincount(
+        cells.assign(dataset.positions.compress(cond, axis=0)), minlength=cells.count
+    )
     statistic = float(((observed - expected) ** 2 / expected).sum())
     dof = cells.count - 1
     return FitReport(

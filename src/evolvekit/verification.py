@@ -545,6 +545,50 @@ def check_operator_composite(
     )
 
 
+def _mc_fit(
+    n: int, seed: int, samples: int, initial_direction: int | None
+) -> list[VerificationReport]:
+    """Fit of one batch of endpoints at lam = v = 1, t = 2 against the
+    density, at the ``_FIT_BINS`` resolution, sampled in this process.  With
+    a uniform initial direction it also checks the singular masses and
+    asserts p > 0.001; a pinned direction is reported only.  The batch and
+    its fit are freed on return, so ``run_all`` holds one batch at a time."""
+    from .simulator import SimulationConfig, histogram_fit, simulate_batch
+
+    params = EvolutionParams(n=n, lam=1.0, v=1.0)
+    t = 2.0
+    config = SimulationConfig(
+        seed=seed, samples=samples, horizon=t, initial_direction=initial_direction
+    )
+    data = simulate_batch(params, config, workers=1)
+    fit = histogram_fit(params, data, _FIT_BINS[n])
+    if initial_direction is not None:
+        return [
+            _report(
+                f"mc-fit-fixed-direction-n={n}",
+                1.0,
+                fit.p_value,
+                None,
+                "report-only",
+                True,
+                "fit of pinned-initial-direction endpoints against the "
+                f"direction-averaged density: chi2={fit.statistic:.1f}, "
+                f"dof={fit.dof}, p={fit.p_value:.3g}",
+            )
+        ]
+    return check_singular_mass(params, t, data) + [
+        _report(
+            f"mc-fit-n={n}-t={t}",
+            1.0,
+            fit.p_value,
+            None,
+            "p > 0.001",
+            fit.p_value > 0.001,
+            f"chi2={fit.statistic:.1f}, dof={fit.dof}, reduced={fit.reduced:.3f}",
+        )
+    ]
+
+
 def _default_grid() -> list[tuple[int, float]]:
     return [(n, lt) for n in (1, 2, 3) for lt in (0.5, 1.0, 2.0)]
 
@@ -621,46 +665,10 @@ def run_all(
             consts = DerivedConstants.from_params(EvolutionParams(n=n, lam=1.0, v=1.0))
             reports.append(check_ode_residual(n, consts.alpha))
     if "mc-fit" in want:
-        from .simulator import SimulationConfig, histogram_fit, simulate_batch
-
         for n in (1, 2, 3):
-            params = EvolutionParams(n=n, lam=1.0, v=1.0)
-            t = 2.0
-            config = SimulationConfig(seed=seed + n, samples=budget, horizon=t)
-            data = simulate_batch(params, config)
-            reports.extend(check_singular_mass(params, t, data))
-            fit = histogram_fit(params, data, _FIT_BINS[n])
-            reports.append(
-                _report(
-                    f"mc-fit-n={n}-t={t}",
-                    1.0,
-                    fit.p_value,
-                    None,
-                    "p > 0.001",
-                    fit.p_value > 0.001,
-                    f"chi2={fit.statistic:.1f}, dof={fit.dof}, reduced={fit.reduced:.3f}",
-                )
-            )
+            reports.extend(_mc_fit(n, seed + n, budget, None))
         # informational: a pinned initial direction is not described by the
         # direction-averaged density in higher dimension; report, don't assert
-        params = EvolutionParams(n=2, lam=1.0, v=1.0)
-        config = SimulationConfig(
-            seed=seed + 99, samples=budget, horizon=2.0, initial_direction=0
-        )
-        data = simulate_batch(params, config)
-        fit = histogram_fit(params, data, _FIT_BINS[2])
-        reports.append(
-            _report(
-                "mc-fit-fixed-direction-n=2",
-                1.0,
-                fit.p_value,
-                None,
-                "report-only",
-                True,
-                "fit of pinned-initial-direction endpoints against the "
-                f"direction-averaged density: chi2={fit.statistic:.1f}, "
-                f"dof={fit.dof}, p={fit.p_value:.3g}",
-            )
-        )
-        reports.append(check_operator_composite(params, 2.0))
+        reports.extend(_mc_fit(2, seed + 99, budget, 0))
+        reports.append(check_operator_composite(EvolutionParams(n=2, lam=1.0, v=1.0), 2.0))
     return reports

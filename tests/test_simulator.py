@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ class TestSimulateBatch:
             assert data.positions.flags.c_contiguous
             for arr in (data.positions, data.switches, data.initial_direction, data.current_direction):
                 assert not arr.flags.writeable
+
+    def test_peak_memory_within_the_result_columns(self):
+        # blocks are sampled straight into the batch's rows: no block results
+        # are held beside the batch and no concatenation copies them
+        config = SimulationConfig(seed=0, samples=200_000, horizon=2.0)
+        tracemalloc.start()
+        try:
+            data = simulate_batch(params(3), config, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = (data.positions, data.switches, data.initial_direction, data.current_direction)
+        assert peak < 1.6 * sum(arr.nbytes for arr in columns)
 
     def test_same_seed_identical(self):
         p = params(2)

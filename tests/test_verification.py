@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -261,6 +262,17 @@ class TestSeriesIdentity:
         monkeypatch.setattr(density_module, "_log_poisson_sum", lambda *args: math.nan)
         assert not check_series_identity(params(2), 1.0).passed
 
+    @pytest.mark.parametrize("n, lt", [(4, 0.5), (6, 1.0), (3, 2.0)])
+    def test_bound_is_relative_where_the_mass_is_small(self, n, lt, monkeypatch):
+        # ac_mass is 1.75e-3 at (4, 0.5) and 5.9e-4 at (6, 1), where an
+        # absolute 1e-12 would let a relative error of 1e-10 pass
+        assert check_series_identity(params(n), lt).passed
+        density_module = sys.modules["evolvekit.density"]
+        monkeypatch.setattr(
+            density_module, "ac_mass", lambda params, t: ac_mass(params, t) * (1 + 1e-10)
+        )
+        assert not check_series_identity(params(n), lt).passed
+
 
 class TestSingularMass:
     @pytest.mark.parametrize(
@@ -337,6 +349,17 @@ class TestRunAll:
         assert first == cubature(grid)  # deterministic: identical reports
         # beyond the mc-fit dimensions the nodes per piece grow too fast
         assert cubature([(5, 1.0)]) == []
+
+    def test_mc_fit_holds_one_batch_at_a_time(self):
+        # each batch and its fit are freed before the next batch is drawn
+        tracemalloc.start()
+        try:
+            reports = run_all(budget=200_000, suites=("mc-fit",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak < 20 * 2**20
 
     def test_geometry_suite_passes(self):
         reports = run_all(budget=100_000, suites=("geometry",))
