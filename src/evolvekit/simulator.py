@@ -8,21 +8,20 @@ initial and current direction.
 Reproducibility contract: samples are generated in fixed blocks of
 ``BLOCK_SIZE`` consecutive indices; block j draws from a Philox generator
 seeded with SeedSequence((seed, j)).  Batches are therefore bit-identical
-for a given seed regardless of how many workers execute the blocks, and
-results are ordered by sample index.
+for a given seed regardless of how many threads sample the blocks or in
+which order they finish, and results are ordered by sample index.
 
 One path loop, ``_sample_paths``, serves ``simulate_batch`` (a block at a
 time) and ``simulate_path`` (one path on the caller's generator), and
 writes the endpoints into arrays its caller passes.  ``simulate_batch``
-allocates a batch's columns once and fills them in place, block by block:
-in process each block's loop writes straight into the block's rows, a
-worker pool's blocks are copied into those rows, and the current
-directions are formed once for the whole batch.  Each block still draws
-from its own stream, so the bits are those of the block sampled alone.  The
-running paths are kept in sample order in one float array of n + 1 rows,
-their coordinates and the time remaining, with one int array of two rows,
-sample index and initial direction d0; after k switches a path's direction
-is (d0 + k) mod (n+1), a column of the rolled direction table.  Each
+allocates a batch's columns once, and each block's loop writes its own
+rows: on threads, at most one per block, which share only read-only
+tables, or in the calling thread for one worker or one block.  The current
+directions are formed once for the whole batch.  The running paths are
+kept in sample order in one float array of n + 1 rows, their coordinates
+and the time remaining, with one int array of two rows, sample index and
+initial direction d0; after k switches a path's direction is
+(d0 + k) mod (n+1), a column of the rolled direction table.  Each
 iteration draws one exponential per running path in sample order and
 applies ``pos += (v * min(dt, rem)) * tau[d]; rem -= dt``.  On an iteration
 where some paths stop, their positions and switch count are written to
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -72,6 +71,16 @@ __all__ = [
 BLOCK_SIZE = 65536
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int if it is a whole number, else ``ValueError``."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Batch description.  ``initial_direction`` None means uniform over 0..n;
@@ -85,7 +94,10 @@ class SimulationConfig:
     start_point: np.ndarray | None = None
 
     def __post_init__(self):
-        if int(self.samples) != self.samples or self.samples < 1:
+        for name in ("seed", "samples", "initial_direction"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        if self.samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
@@ -224,62 +236,47 @@ def _sample_paths(
 
 def _block_rng(config: SimulationConfig, block_index: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(int(config.seed), block_index)))
+        np.random.Philox(np.random.SeedSequence(entropy=(config.seed, block_index)))
     )
-
-
-def _simulate_block(
-    params: EvolutionParams, config: SimulationConfig, block_index: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One block's positions, switches, initial and current directions in
-    arrays of its own: the task of a pool worker."""
-    pos, switches, init = _endpoint_arrays(count, params.n)
-    _sample_paths(params, config, _block_rng(config, block_index), pos, switches, init)
-    return pos, switches, init, (init + switches) % (params.n + 1)
 
 
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("EVOLVEKIT_THREADS")
-    if env is not None:
+    if env is None:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"EVOLVEKIT_THREADS must be an integer, got {env!r}") from None
 
 
 def simulate_batch(
     params: EvolutionParams, config: SimulationConfig, workers: int | None = None
 ) -> PathDataset:
-    """Sample ``config.samples`` endpoints.
-
-    Deterministic in (seed, samples): the per-block substreams make the
-    result independent of ``workers`` (which defaults to EVOLVEKIT_THREADS
-    or the machine's CPU count).
-    """
+    """Sample ``config.samples`` endpoints, each block of ``BLOCK_SIZE``
+    into its own rows, on at most ``workers`` threads (default
+    EVOLVEKIT_THREADS, else the CPU count) and at most one per block; one
+    worker or one block runs in the calling thread.  Deterministic in (seed,
+    samples): the per-block substreams make the result independent of
+    ``workers`` and of the order in which blocks finish."""
     _check_config(params, config)
     total = config.samples
-    blocks = [
-        (j, min(BLOCK_SIZE, total - j * BLOCK_SIZE))
-        for j in range((total + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
+    blocks = -(-total // BLOCK_SIZE)
+    threads = min(_worker_count(workers), blocks)
     pos, sw, init = _endpoint_arrays(total, params.n)
-    nworkers = _worker_count(workers)
-    if nworkers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            parts = pool.map(
-                _simulate_block,
-                [params] * len(blocks),
-                [config] * len(blocks),
-                [j for j, _ in blocks],
-                [c for _, c in blocks],
-            )
-            for (j, _), part in zip(blocks, parts):
-                rows = slice(j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE)
-                pos[rows], sw[rows], init[rows] = part[:3]
+
+    def sample_block(j: int) -> None:
+        rows = slice(j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE)
+        _sample_paths(params, config, _block_rng(config, j), pos[rows], sw[rows], init[rows])
+
+    if threads == 1:
+        for j in range(blocks):
+            sample_block(j)
     else:
-        for j, _ in blocks:
-            rows = slice(j * BLOCK_SIZE, (j + 1) * BLOCK_SIZE)
-            _sample_paths(params, config, _block_rng(config, j), pos[rows], sw[rows], init[rows])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(sample_block, range(blocks)))
     cur = init + sw
     cur %= params.n + 1
     for arr in (pos, sw, init, cur):

@@ -16,6 +16,7 @@ RETIRED = [
     "YCoordinates",
     "to_y_coordinates",
     "OutsideSupportError",
+    "_simulate_block",
 ]
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS_FILE = ROOT / "bench" / "spans.py"

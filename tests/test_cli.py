@@ -321,6 +321,15 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_threads_variable_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EVOLVEKIT_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--n", "2", "--t", "1", "--samples", "10", "--seed", "1",
+                     "--out", str(tmp_path / "paths.csv")])
+        assert exc.value.code == 2
+        assert "EVOLVEKIT_THREADS" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_policy_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,11 @@ from evolvekit.simulator import (
     BLOCK_SIZE,
     PathDataset,
     SimulationConfig,
+    _block_rng,
+    _direction_cycle,
+    _endpoint_arrays,
     _lattice_keys,
-    _simulate_block,
+    _sample_paths,
     histogram_fit,
     simplex_cells,
     simulate_batch,
@@ -28,6 +32,16 @@ from test_geometry import _reference_support_margins
 
 def params(n, lam=1.0, v=1.0):
     return EvolutionParams(n=n, lam=lam, v=v)
+
+
+def _block(
+    params: EvolutionParams, config: SimulationConfig, block_index: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # one block sampled alone into arrays of its own, as a batch samples it
+    # into its rows: positions, switches, initial and current directions
+    pos, switches, init = _endpoint_arrays(count, params.n)
+    _sample_paths(params, config, _block_rng(config, block_index), pos, switches, init)
+    return pos, switches, init, (init + switches) % (params.n + 1)
 
 
 def _reference_block(
@@ -175,7 +189,7 @@ class TestBlockPin:
         ]
         for config in configs:
             for block_index, count in [(0, 1), (3, 1237)]:
-                got = _simulate_block(p, config, block_index, count)
+                got = _block(p, config, block_index, count)
                 want = _reference_block(p, config, block_index, count)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.shape == w.shape
@@ -187,7 +201,7 @@ class TestBlockPin:
         # a whole block: many iterations retire paths, in chunks of every size
         p = params(n)
         config = SimulationConfig(seed=23 + n, samples=1, horizon=t)
-        got = _simulate_block(p, config, 1, BLOCK_SIZE)
+        got = _block(p, config, 1, BLOCK_SIZE)
         want = _reference_block(p, config, 1, BLOCK_SIZE)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -227,13 +241,40 @@ class TestSimulateBatch:
         assert np.array_equal(a.initial_direction, b.initial_direction)
 
     def test_worker_count_invariance(self):
+        # every worker count puts each block's reference draws in its own
+        # rows; three threads on a short switch interval, racing to form the
+        # direction table, would show a lost or misplaced write
         p = params(2)
-        config = SimulationConfig(seed=3, samples=150_000, horizon=1.0)
-        serial = simulate_batch(p, config, workers=1)
-        parallel = simulate_batch(p, config, workers=2)
-        assert np.array_equal(serial.positions, parallel.positions)
-        assert np.array_equal(serial.switches, parallel.switches)
-        assert np.array_equal(serial.current_direction, parallel.current_direction)
+        counts = [BLOCK_SIZE, BLOCK_SIZE, 1237]
+        configs = [
+            SimulationConfig(seed=3, samples=sum(counts), horizon=1.0),
+            SimulationConfig(
+                seed=8, samples=sum(counts), horizon=1.0, initial_direction=2,
+                start_point=np.array([0.5, -1.25]),
+            ),
+        ]
+        for config in configs:
+            parts = [_reference_block(p, config, j, c) for j, c in enumerate(counts)]
+            want = [np.concatenate(column) for column in zip(*parts)]
+            for workers in (1, 2, 3):
+                _direction_cycle.cache_clear()
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    data = simulate_batch(p, config, workers=workers)
+                finally:
+                    sys.setswitchinterval(interval)
+                got = (data.positions, data.switches, data.initial_direction, data.current_direction)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+
+    def test_threads_variable_error_names_it(self, monkeypatch):
+        # the variable is read before any thread is asked for
+        monkeypatch.setenv("EVOLVEKIT_THREADS", "abc")
+        config = SimulationConfig(seed=0, samples=BLOCK_SIZE + 1, horizon=1.0)
+        with pytest.raises(ValueError, match="EVOLVEKIT_THREADS.*'abc'"):
+            simulate_batch(params(2), config)
 
     def test_switch_counts_poisson_mean(self):
         p = params(2, lam=1.3)
@@ -450,3 +491,25 @@ class TestConfigValidation:
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             assert SimulationConfig(seed=seed, samples=1, horizon=1.0).seed == seed
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("samples", 2.5), ("initial_direction", 1.7)]
+    )
+    def test_fractional_integer_fields_rejected(self, field, value):
+        # 1.5 once sampled seed 1 and 1.7 pinned direction 1
+        kwargs = dict(seed=0, samples=1, horizon=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**kwargs)
+
+    def test_integral_floats_are_ints(self):
+        # samples=5.0 once passed the check and failed inside simulate_batch
+        p = params(2)
+        a = simulate_batch(p, SimulationConfig(seed=7.0, samples=5.0, horizon=1.0), workers=1)
+        b = simulate_batch(p, SimulationConfig(seed=7, samples=5, horizon=1.0), workers=1)
+        assert type(a.config.seed) is int and type(a.config.samples) is int
+        for x, y in [(a.positions, b.positions), (a.switches, b.switches),
+                     (a.initial_direction, b.initial_direction)]:
+            assert x.tobytes() == y.tobytes()
+        config = SimulationConfig(seed=0, samples=1, horizon=1.0, initial_direction=2.0)
+        assert type(config.initial_direction) is int
