@@ -311,18 +311,12 @@ def _parse_grid(text: str, params: EvolutionParams, t: float) -> np.ndarray:
 
 def cmd_density(args) -> int:
     params = _params_from(args)
-    if not args.t > 0:
-        raise ValueError("t must be > 0")
     if args.point:
         pts = np.array([[float(c) for c in p.split(",")] for p in args.point])
-        if pts.shape[1] != params.n:
-            raise ValueError(f"points must have {params.n} coordinates")
     elif args.grid:
         pts = _parse_grid(args.grid, params, args.t)
     else:
         raise ValueError("density needs --grid or at least one --point")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("grid points must be finite")
     values = density_batch(params, pts, args.t)
     location = classify_batch(params, pts, args.t)
     mass = ac_mass(params, args.t)

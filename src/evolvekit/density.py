@@ -82,6 +82,7 @@ from .geometry import (
     support_contains,
     volume,
     _log_volume,
+    _real,
     _y_affine,
 )
 from .special_functions import DerivedConstants, _h_slice, _kernel_jet_batch
@@ -115,11 +116,10 @@ def boundary_probability(params: EvolutionParams, t: float) -> float:
     Computed as the regularized upper incomplete gamma function Q(n, lam t);
     at n = 1 as exp(-lam t), which scipy's Q(1, 1) misses by 3 ulps.
     """
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
+    lt = params.lam * _real("t", t, 0.0)
     if params.n == 1:
-        return math.exp(-params.lam * t)
-    return float(gammaincc(params.n, params.lam * t))
+        return math.exp(-lt)
+    return float(gammaincc(params.n, lt))
 
 
 def ac_mass(params: EvolutionParams, t: float) -> float:
@@ -129,9 +129,7 @@ def ac_mass(params: EvolutionParams, t: float) -> float:
     not as ``1 - boundary_probability``, which cancels to rounding noise
     once the mass falls below the float64 epsilon.
     """
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
-    return float(gammainc(params.n, params.lam * t))
+    return float(gammainc(params.n, params.lam * _real("t", t, 0.0)))
 
 
 def _window_sums(u: np.ndarray) -> np.ndarray:
@@ -152,18 +150,23 @@ def _window_sums(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _points(x, t: float, tol: float) -> np.ndarray:
+    """``x`` as a float array, once it, t > 0 and tol in (0, 1) are checked."""
+    _real("t", t, 0.0, strict=True)
+    if _real("tol", tol, 0.0, strict=True) >= 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    X = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("coordinates must be finite")
+    return X
+
+
 def density_batch(
     params: EvolutionParams, x, t: float, tol: float = 1e-12
 ) -> np.ndarray:
     """Density of the absolutely continuous component at points x, zero off
     the open simplex.  ``x`` has shape (N, n); returns shape (N,)."""
-    if not t > 0:
-        raise ValueError(f"time t must be > 0, got {t}")
-    X = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("coordinates must be finite")
-    if X.ndim == 1:
-        X = X[None, :]
+    X = np.atleast_2d(_points(x, t, tol))
     loc = classify_batch(params, X, t)
     inside = loc == Membership.INSIDE
     values = np.zeros(len(X))
@@ -205,11 +208,7 @@ def density(
     are unscaled, so where a term exceeds the float64 range (from about
     lam t = 709 on) it reads inf, and 0 where its scaled form underflowed.
     """
-    if not t > 0:
-        raise ValueError(f"time t must be > 0, got {t}")
-    X = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    if not np.all(np.isfinite(X)):
-        raise ValueError("coordinates must be finite")
+    X = np.atleast_1d(_points(x, t, tol))[None, :]
     loc = support_contains(params, X[0], t)
     if loc is not Membership.INSIDE:
         return DensityValue(value=0.0, operator_terms=np.zeros(params.n + 1), location=loc)
@@ -234,12 +233,9 @@ def jet_operator_density(
     Diagnostic only: equals ``density`` for n = 1, but is not the endpoint
     density for n >= 2.  Raises ``OverflowError`` naming n and lam t where
     the unscaled jets leave the float range (from about lam t = 709)."""
-    if not t > 0:
-        raise ValueError(f"time t must be > 0, got {t}")
-    X = np.asarray(x, dtype=float)
+    X = _points(x, t, tol)
     single = X.ndim < 2
-    if single:
-        X = np.atleast_1d(X)[None, :]
+    X = np.atleast_2d(X)
     inside = classify_batch(params, X, t) == Membership.INSIDE
     values = np.zeros(len(X))
     if inside.any():
@@ -266,8 +262,11 @@ def _log_poisson_sum(mean: float, first: int, step: int = 1) -> float:
     cannot underflow a sum that does not; its rounding, about
     eps * mean * log(mean), sets the relative error: 1.4e-14 at mean = 50,
     1.5e-13 at mean = 1000 (against mpmath).  No incomplete gamma function
-    is used, so this is an oracle for ``ac_mass``.
+    is used, so this is an oracle for ``ac_mass``.  Past mean = 1e8 (2e5
+    terms, 0.1 s) it raises ValueError.
     """
+    if mean > 1e8:
+        raise ValueError(f"Poisson sum needs more than 2e5 terms at lam*t = {mean:g}")
     if mean <= 0.0:
         return 0.0 if first == 0 else -math.inf
     k0 = first + step * max(0, math.floor((mean - first) / step))
@@ -300,10 +299,8 @@ def analytic_bessel_integral(params: EvolutionParams, t: float) -> float:
     ``OverflowError`` naming n and lam t where the integral exceeds the
     float range (from about lam t = 710 at v = lam).
     """
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
     n = params.n
-    lt = params.lam * t
+    lt = params.lam * _real("t", t, 0.0)
     if lt == 0.0:
         return 0.0
     log_coeff = n * (math.log(params.v) - math.log(params.lam))
@@ -332,10 +329,8 @@ def normalization_series_identity(params: EvolutionParams, t: float) -> float:
     summed by ``_log_poisson_sum``, and the value is compared with
     ``ac_mass`` to 1e-12 relative; a mismatch, NaN included, raises.
     """
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
     n = params.n
-    lt = params.lam * t
+    lt = params.lam * _real("t", t, 0.0)
 
     # termwise derivative exponents: the m-th operator order turns the series
     # exponent (n+1)j - 1 into (n+1)j - 1 - m for every j >= 1
@@ -365,8 +360,7 @@ def remark_constant_check(params: EvolutionParams, t: float) -> tuple[float, flo
     log of the volume); a side outside the normal float range raises
     ``OverflowError`` naming n and v*t.
     """
-    if not t > 0:
-        raise ValueError(f"time t must be > 0, got {t}")
+    _real("t", t, 0.0, strict=True)
     n, v = params.n, params.v
     tiny, huge = sys.float_info.min, sys.float_info.max
 

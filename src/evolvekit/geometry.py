@@ -62,6 +62,27 @@ __all__ = [
 EPS_GEO = 1e-9
 
 
+def _integral(name: str, value, low: int) -> int:
+    """``value`` as an int if it is a whole number >= ``low``, else ``ValueError``."""
+    try:
+        if int(value) == value and value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _real(name: str, value, low: float, strict: bool = False):
+    """``value`` unchanged if it is a finite real number >= ``low`` (> ``low``
+    when ``strict``), else ``ValueError``."""
+    try:
+        if math.isfinite(value) and (value > low if strict else value >= low):
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low:g}, got {value!r}")
+
+
 class Membership(Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"
@@ -80,13 +101,9 @@ class EvolutionParams:
     v: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"dimension n must be an integer >= 1, got {self.n}")
-        if not (self.lam > 0) or not math.isfinite(self.lam):
-            raise ValueError(f"switch rate lam must be finite and > 0, got {self.lam}")
-        if not (self.v > 0) or not math.isfinite(self.v):
-            raise ValueError(f"speed v must be finite and > 0, got {self.v}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integral("n", self.n, 1))
+        _real("lam", self.lam, 0.0, strict=True)
+        _real("v", self.v, 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -135,15 +152,12 @@ def build_simplex(n: int) -> SimplexGeometry:
         sqrt((n+1)(n-i) / (n(n-i+1)))          for j = i+1,
         0                                      for j > i+1.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"dimension n must be an integer >= 1, got {n}")
-    return SimplexGeometry(n=int(n), vertices=_vertices(int(n)))
+    n = _integral("n", n, 1)
+    return SimplexGeometry(n=n, vertices=_vertices(n))
 
 
 def _as_points(params: EvolutionParams, x) -> np.ndarray:
-    X = np.asarray(x, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim != 2 or X.shape[1] != params.n:
         raise ValueError(f"expected points of dimension {params.n}, got shape {X.shape}")
     return X
@@ -153,6 +167,7 @@ def support_margins(params: EvolutionParams, x, t: float) -> np.ndarray:
     """The n+1 facet coordinates y_1 ... y_(n+1) of points, shape (N, n+1):
     each vanishes on one facet of T_vt and is positive inside.  The result is
     the transposed view of a C-contiguous (n+1, N) array."""
+    _real("t", t, 0.0)
     M, s = _y_affine(params.n)
     Y = M @ _as_points(params, x).T
     Y += (s * (params.v * t))[:, None]
@@ -174,9 +189,7 @@ def classify_batch(params: EvolutionParams, x, t: float) -> np.ndarray:
     outside.
     """
     X = _as_points(params, x)
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
-    vt = params.v * t
+    vt = params.v * _real("t", t, 0.0)
     if vt < np.finfo(float).tiny or math.isinf(params.n / vt):
         lo, eps = -np.abs(X).max(axis=1), 0.0
     else:
@@ -208,9 +221,7 @@ def volume(params: EvolutionParams, t: float) -> float:
     the volume underflows and raises ``OverflowError`` where it exceeds the
     float range.
     """
-    if not t >= 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
-    n, vt = params.n, params.v * t
+    n, vt = params.n, params.v * _real("t", t, 0.0)
     try:
         power = vt**n
         num = math.sqrt(n + 1) ** (n + 1) * power
@@ -229,9 +240,7 @@ def volume(params: EvolutionParams, t: float) -> float:
 
 def vertices_at_time(params: EvolutionParams, t: float) -> np.ndarray:
     """Extreme points v*t*tau_i of the reachable simplex (unswitched endpoints)."""
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
-    return params.v * t * _vertices(params.n)
+    return params.v * _real("t", t, 0.0) * _vertices(params.n)
 
 
 def barycentric_coordinates(params: EvolutionParams, x, t: float) -> np.ndarray:
@@ -241,12 +250,10 @@ def barycentric_coordinates(params: EvolutionParams, x, t: float) -> np.ndarray:
     exactly on the closed simplex.  Requires t > 0.  The result is the
     transposed view of a C-contiguous (n+1, N) array.
     """
-    if not t > 0:
-        raise ValueError(f"time t must be > 0, got {t}")
     X = _as_points(params, x)
     n = params.n
     W = _vertices(n) @ X.T
-    W *= n / (params.v * t)
+    W *= n / (params.v * _real("t", t, 0.0, strict=True))
     W += 1.0
     W /= n + 1
     return W.T

@@ -51,7 +51,9 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .density import density_batch
-from .geometry import EvolutionParams, barycentric_coordinates, vertices_at_time, volume
+from .geometry import (
+    EvolutionParams, _integral, _real, barycentric_coordinates, vertices_at_time, volume
+)
 # unused here; benchmark tracing wraps these names in this module
 from .verification import adaptive_simpson, sample_uniform_simplex  # noqa: F401
 
@@ -71,16 +73,6 @@ __all__ = [
 BLOCK_SIZE = 65536
 
 
-def _integral(name: str, value) -> int:
-    """``value`` as an int if it is a whole number, else ``ValueError``."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Batch description.  ``initial_direction`` None means uniform over 0..n;
@@ -94,17 +86,12 @@ class SimulationConfig:
     start_point: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("seed", "samples", "initial_direction"):
+        for name, low in (("seed", 0), ("samples", 1), ("initial_direction", 0)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        if self.samples < 1:
-            raise ValueError(f"samples must be an integer >= 1, got {self.samples}")
-        if not 0 <= self.seed < 2**64:
+                object.__setattr__(self, name, _integral(name, getattr(self, name), low))
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
-        if self.horizon < 0 or not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if self.initial_direction is not None and self.initial_direction < 0:
-            raise ValueError("fixed initial direction must be >= 0")
+        _real("horizon", self.horizon, 0.0)
         if self.start_point is not None:
             pt = np.asarray(self.start_point, dtype=float)
             pt.setflags(write=False)
@@ -242,14 +229,11 @@ def _block_rng(config: SimulationConfig, block_index: int) -> np.random.Generato
 
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
-        return max(1, int(workers))
+        return _integral("workers", workers, 1)
     env = os.environ.get("EVOLVEKIT_THREADS")
     if env is None:
         return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"EVOLVEKIT_THREADS must be an integer, got {env!r}") from None
+    return _integral("EVOLVEKIT_THREADS", int(env) if env.strip().isdecimal() else env, 1)
 
 
 def simulate_batch(
@@ -337,13 +321,16 @@ class SimplexCells:
 
 def _lattice_keys(n: int, m: int) -> tuple:
     """Barycentric lattice keys c = floor(m w) of the cells of resolution m,
-    in lexicographic order: n+1 digits in 0..m-1 with m-(n+1) < sum(c) <= m-1."""
+    in lexicographic order: n+1 digits in 0..m-1 with m-(n+1) < sum(c) <= m-1.
+    Raises past m**(n+1) = ``_COORD_CAP``, the size of ``SimplexCells``' table."""
+    if m ** (n + 1) > _COORD_CAP:
+        raise ValueError(f"resolution (bins per axis) {m} at n={n} needs over {_COORD_CAP} cells")
     return tuple(sorted(c for s in range(max(m - n, 0), m) for c in _compositions(s, n + 1)))
 
 
 def simplex_cells(params: EvolutionParams, t: float, resolution: int) -> SimplexCells:
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    _real("t", t, 0.0, strict=True)
+    resolution = _integral("resolution", resolution, 1)
     keys = _lattice_keys(params.n, resolution)
     return SimplexCells(params=params, t=t, resolution=resolution, keys=keys)
 
@@ -542,6 +529,8 @@ def histogram_fit(
     is empty, when any expected count falls below ``min_expected`` (coarsen
     bins) or when the quadrature would exceed its point cap.
     """
+    bins = _integral("bins", bins, 1)
+    _real("min_expected", min_expected, 0.0)
     if dataset.config.start_point is not None and np.any(dataset.config.start_point):
         raise ValueError("histogram_fit expects origin-started datasets")
     t = dataset.config.horizon
@@ -554,7 +543,7 @@ def histogram_fit(
     expected = masses / masses.sum() * n_cond
     if expected.min() < min_expected:
         raise ValueError(
-            f"smallest expected cell count {expected.min():.2f} < {min_expected}; "
+            f"smallest expected cell count {expected.min():.2f} < min_expected {min_expected}; "
             "coarsen the binning"
         )
     observed = np.bincount(

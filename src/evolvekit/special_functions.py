@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .geometry import EvolutionParams
+from .geometry import EvolutionParams, _integral, _real
 
 __all__ = [
     "DerivedConstants",
@@ -154,16 +154,12 @@ def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     The ratios decrease, so the dropped tail is at most the last term times
     r / (1 - r), r the next ratio; that is ``truncation_bound``.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"order parameter n must be an integer >= 1, got {n}")
-    if not (0 < tol <= 1e-6):
-        raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    if not math.isfinite(w):
-        raise ValueError(f"argument must be finite, got {w}")
-    if w < 0:
-        raise ValueError(f"argument must be >= 0, got {w}")
-    base = (w / (n + 1)) ** (n + 1)
+    n = _integral("n", n, 1)
+    if _real("tol", tol, 0.0, strict=True) > 1e-6:
+        raise ValueError(f"tol must be in (0, 1e-6], got {tol!r}")
+    _real("w", w, 0.0)
     try:  # the value leaves float64 long before the series needs _SERIES_CAP terms
+        base = (w / (n + 1)) ** (n + 1)
         with np.errstate(over="ignore"):
             values, terms, log_last = _h_slice(n, n + 1, np.array([base]), tol, 0.0)
         value = float(values[0])
@@ -171,7 +167,7 @@ def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
             raise OverflowError
     except (ValueError, OverflowError) as exc:
         raise OverflowError(f"kernel series overflowed at w={w}, n={n}") from exc
-    ratio = base / terms ** (n + 1)
+    ratio = base / terms ** (n + 1) if base else 0.0  # skips a huge int power at large n
     return HyperBesselEval(
         order=n + 1,
         argument=w,
@@ -187,11 +183,9 @@ def series_coefficient(n: int, alpha: float, k: int) -> float:
     Evaluated as exp of (n+1) * (k log(alpha/(n+1)) - log k!) to keep large
     n and k representable; signals when the magnitude leaves double range.
     """
-    if int(k) != k or k < 0:
-        raise ValueError(f"index k must be an integer >= 0, got {k}")
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    logc = (n + 1) * (k * math.log(alpha / (n + 1)) - gammaln(k + 1)) if k else 0.0
+    n, k = _integral("n", n, 1), _integral("k", k, 0)
+    _real("alpha", alpha, 0.0, strict=True)
+    logc = (n + 1) * (k * math.log(alpha / (n + 1)) - gammaln(k + 1.0)) if k else 0.0
     if abs(logc) > _LOG_HUGE:
         raise OverflowError(
             f"series coefficient magnitude exp({logc:.1f}) outside double range "
@@ -269,13 +263,10 @@ def hyper_bessel_ode_residual(n: int, alpha: float, z: float, h: float) -> float
     The right side uses the derived-constants identity
     (alpha z)^(n+1) = pde_constant * ((n+1) z)^(n+1).
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"order parameter n must be an integer >= 1, got {n}")
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if not (h > 0):
-        raise ValueError(f"step h must be > 0, got {h}")
-    if z - (n + 1) * h <= 0:
+    n = _integral("n", n, 1)
+    _real("alpha", alpha, 0.0)
+    _real("h", h, 0.0, strict=True)
+    if _real("z", z, 0.0) - (n + 1) * h <= 0:
         raise ValueError(f"step too large: need z > (n+1) h, got z={z}, h={h}")
     m = n + 1
     zs = z + np.arange(-m, m + 1) * h
@@ -286,7 +277,7 @@ def hyper_bessel_ode_residual(n: int, alpha: float, z: float, h: float) -> float
         if not np.all(np.isfinite(vals)):
             raise OverflowError
     except (ValueError, OverflowError) as exc:
-        raise OverflowError(f"kernel series overflowed on the stencil at z={z}, n={n}") from exc
+        raise OverflowError(f"overflow on the stencil at z={z}, n={n}, alpha={alpha}") from exc
     g = vals[m]
     for _ in range(m):
         vals = _radial_operator_grid(vals, zs, h)

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, i0, i1
+from scipy.special import gammaln, i0e, i1e
 
 from .density import (
     ac_mass,
@@ -47,6 +47,9 @@ from .density import (
 from .geometry import (
     EvolutionParams,
     Membership,
+    _integral,
+    _log_volume,
+    _real,
     build_simplex,
     classify_batch,
     support_margins,
@@ -123,9 +126,8 @@ def sample_uniform_simplex(
 ) -> np.ndarray:
     """Uniform points on T_vt: exponential spacings normalized to Dirichlet
     weights, combined with the simplex vertices."""
-    if not t > 0:
-        raise ValueError(f"time t must be > 0, got {t}")
-    spacings = rng.exponential(size=(count, params.n + 1))
+    _real("t", t, 0.0, strict=True)
+    spacings = rng.exponential(size=(_integral("count", count, 0), params.n + 1))
     weights = spacings / spacings.sum(axis=1, keepdims=True)
     return weights @ vertices_at_time(params, t)
 
@@ -143,6 +145,7 @@ def integrate_over_support(
     ``integrand`` maps an (N, n) array to (N,) values; evaluation is chunked
     so large budgets stay within memory.
     """
+    count, chunk = _integral("count", count, 1), _integral("chunk", chunk, 1)
     vol = volume(params, t)
     total = 0.0
     total_sq = 0.0
@@ -174,6 +177,11 @@ def adaptive_simpson(
     1e-12, so for integrals below about 1e-12 the rule is absolute and may
     stop on its first three-point estimate.
     """
+    _real("a", a, -math.inf)
+    _real("b", b, -math.inf)
+    _real("tol", tol, 0.0, strict=True)
+    if a == b:
+        return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     scale = max(abs(whole), 1e-12)
@@ -197,13 +205,17 @@ def adaptive_simpson(
 
 def telegraph_density(x, t: float, lam: float, v: float):
     """Classical density of the symmetric motion on the line with speeds +-v,
-    switch rate lam, uniform initial direction; the n = 1 oracle."""
-    x = np.asarray(x, dtype=float)
-    root = np.sqrt(np.clip(v * v * t * t - x * x, 0.0, None))
-    xi = (lam / v) * root
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = np.where(root > 0, lam * v * t * i1(xi) / np.where(root > 0, root, 1.0), 0.0)
-    return np.exp(-lam * t) / (2.0 * v) * (lam * i0(xi) + flux)
+    switch rate lam, uniform initial direction; the n = 1 oracle
+    exp(-lam t) / (2v) * (lam I0(xi) + lam v t I1(xi) / r), r = sqrt((vt)^2 - x^2)
+    (0 for |x| >= vt), xi = lam r / v, from the scaled Bessel functions and
+    exp(xi - lam t) = exp(-(lam/v) a^2 / (r + vt)), a = min(|x|, vt): finite
+    wherever the density is."""
+    vt = _real("v", v, 0.0, strict=True) * _real("t", t, 0.0, strict=True)
+    a = np.minimum(np.abs(np.asarray(x, dtype=float)), vt)
+    root = np.sqrt(vt - a) * np.sqrt(vt + a)
+    xi = (_real("lam", lam, 0.0, strict=True) / v) * root
+    flux = vt * i1e(xi) / np.maximum(root, np.finfo(float).tiny)  # i1e(0) = 0 where r = 0
+    return np.exp(-(lam / v) * a * (a / (root + vt))) * lam / (2.0 * v) * (i0e(xi) + flux)
 
 
 def _report(name, target, estimate, sigma, rule, passed, info=""):
@@ -409,9 +421,8 @@ def check_beta_integrals(k: int, m: int) -> VerificationReport:
     where the Beta value leaves the float range (from k = 222 at m = 10).
     Raises ValueError where d//2 + 1 exceeds _MAX_NODES.
     """
-    if k < 0:
-        raise ValueError(f"power k must be >= 0, got {k}")
-    if not 1 <= m <= 10:
+    k, m = _integral("k", k, 0), _integral("m", m, 1)
+    if m > 10:
         raise ValueError(f"stage m must be in 1..10, got {m}")
     a, b = k + 1, m * (k + 1)
     degree = 2 * k if m == 1 else a + b - 2
@@ -454,29 +465,30 @@ def check_remark(params: EvolutionParams, t: float) -> VerificationReport:
     return _report(name, closed, via_volume, None, "<= 1e-12 rel", rel <= 1e-12)
 
 
-def check_volume_mc(
-    params: EvolutionParams, t: float, count: int, rng: np.random.Generator | None = None
-) -> VerificationReport:
-    """Closed-form volume against a bounding-box hit-ratio estimate."""
-    rng = rng or np.random.default_rng(0)
+def check_volume(params: EvolutionParams, t: float) -> VerificationReport:
+    """Closed-form volume against |det(V_1 - V_0, ..., V_n - V_0)| / n! within
+    1e-12 relative, in logs so that no factor leaves the float range; and
+    membership: facet centroids pushed 1e-6 of the way toward the opposite
+    vertex read INSIDE, pushed away OUTSIDE, and the vertices BOUNDARY."""
+    n, vt = params.n, params.v * _real("t", t, 0.0, strict=True)
     verts = vertices_at_time(params, t)
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    box = float(np.prod(hi - lo))
-    pts = rng.uniform(lo, hi, size=(count, params.n))
-    loc = classify_batch(params, pts, t)
-    hits = float(np.count_nonzero(loc != Membership.OUTSIDE))
-    ratio = hits / count
-    est = box * ratio
-    sigma = box * math.sqrt(max(ratio * (1.0 - ratio), 1e-12) / count)
+    log_det = np.linalg.slogdet(verts[1:] - verts[0])[1] - math.lgamma(n + 1)
     target = volume(params, t)
+    log_target = math.log(target) if target >= np.finfo(float).tiny else _log_volume(n, vt)
+    rel = abs(math.expm1(log_det - log_target))
+    centroids = (verts.sum(axis=0) - verts) / n  # of the facet opposite each vertex
+    push = 1e-6 * (verts - centroids)
+    got = classify_batch(params, np.vstack((centroids + push, centroids - push, verts)), t)
+    want = np.repeat([Membership.INSIDE, Membership.OUTSIDE, Membership.BOUNDARY], n + 1)
+    classified = bool(np.all(got == want))
     return _report(
-        f"volume-mc-n={params.n}",
+        f"volume-n={n}",
         target,
-        est,
-        sigma,
-        "within 3 sigma",
-        abs(est - target) <= 3.0 * sigma,
+        math.exp(log_det),
+        None,
+        "<= 1e-12 rel, facet points classified",
+        rel <= 1e-12 and classified,
+        "" if classified else "a facet point or vertex was misclassified",
     )
 
 
@@ -603,17 +615,18 @@ def run_all(
 ) -> list[VerificationReport]:
     """Execute the selected check suites over a grid of (n, lam*t) pairs.
 
-    ``budget`` scales the Monte Carlo sample counts: those of the
-    ``geometry`` and ``mc-fit`` suites, and of ``normalization`` and
-    ``bessel-integral`` for n outside ``_FIT_BINS``, where cubature cannot
-    run.  For n in ``_FIT_BINS`` those two suites integrate by cell
-    cubature, whatever the budget.  Checks of n alone run once per n, at its
-    first lam*t in the grid.  Zero budget returns an empty report.
+    ``budget`` scales the Monte Carlo sample counts: those of ``mc-fit``, and
+    of ``normalization`` and ``bessel-integral`` for n outside ``_FIT_BINS``,
+    where cubature cannot run; in ``_FIT_BINS`` they use cell cubature, and
+    ``geometry`` is exact, whatever the budget.  Checks of n alone run once
+    per n, at its first lam*t in the grid.  Zero budget returns an empty report.
     """
     for s in suites:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; expected one of {SUITES}")
-    if budget <= 0:
+    seed = _integral("seed", seed, 0)
+    budget = _integral("budget", budget, 0)
+    if budget == 0:
         return []
     grid = params_grid if params_grid is not None else _default_grid()
     want = set(SUITES[:-1]) if "all" in suites else set(suites)
@@ -625,10 +638,7 @@ def run_all(
     if "geometry" in want:
         reports.append(check_simplex_invariants())
         for n, lt in first_lt.items():
-            params = EvolutionParams(n=n, lam=1.0, v=1.0)
-            reports.append(
-                check_volume_mc(params, lt, min(budget, 1_000_000), np.random.default_rng(seed + n))
-            )
+            reports.append(check_volume(EvolutionParams(n=n, lam=1.0, v=1.0), lt))
     if "coefficients" in want:
         for n in first_lt:
             consts = DerivedConstants.from_params(EvolutionParams(n=n, lam=1.0, v=1.0))

@@ -250,6 +250,13 @@ class TestDensityCommand:
             run_cli(["density", "--n", "1", "--t", "0", "--point", "0"])
         assert exc.value.code == 2
 
+    def test_infinite_time_usage_error_names_t(self, capsys):
+        # density_batch refuses t = inf itself; it once returned 0 everywhere
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["density", "--n", "2", "--t", "inf", "--point", "0,0"])
+        assert exc.value.code == 2
+        assert "t must be finite" in capsys.readouterr().err
+
     def test_missing_grid_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["density", "--n", "1", "--t", "1"])

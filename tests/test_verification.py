@@ -20,7 +20,7 @@ from evolvekit.verification import (
     check_coefficient_recurrence,
     check_normalization,
     check_series_identity,
-    check_volume_mc,
+    check_volume,
     integrate_over_support,
     run_all,
     sample_uniform_simplex,
@@ -234,6 +234,24 @@ class TestTelegraphOracle:
             assert g == pytest.approx(direct, rel=1e-13)
 
 
+    @pytest.mark.parametrize("lt", [800.0, 1e4])
+    def test_finite_and_exact_at_large_lam_t(self, lt):
+        # i0 and i1 overflowed from about lam t = 710, which made this NaN
+        for lam, v in ((1.0, 1.0), (2.0, 0.5), (0.5, 3.0)):
+            t = lt / lam
+            for frac in (0.0, 0.1, 0.3):  # e^-461 at 0.3, lam t = 1e4
+                x = frac * v * t
+                with mpmath.workdps(40):
+                    r = mpmath.sqrt(mpmath.mpf(v * t) ** 2 - mpmath.mpf(x) ** 2)
+                    xi = lam * r / v
+                    exact = mpmath.exp(-lam * t) / (2 * v) * (
+                        lam * mpmath.besseli(0, xi) + lam * v * t * mpmath.besseli(1, xi) / r
+                    )
+                got = float(telegraph_density(x, t, lam, v))
+                assert got == pytest.approx(float(exact), rel=1e-12), (lam, v, frac)
+                assert got > 0.0
+
+
 class TestCheckNormalization:
     def test_line(self):
         rep = check_normalization(params(1), 1.0, 200_000, np.random.default_rng(3))
@@ -330,10 +348,10 @@ class TestRunAll:
         # at the first lam t the grid lists for n, in the grid's order
         grid = [(2, 1.0), (2, 0.5), (2, 2.0)]
         reports = run_all(params_grid=grid, budget=20_000, suites=("geometry", "coefficients"))
-        volume_mc = [r for r in reports if r.name == "volume-mc-n=2"]
+        volumes = [r for r in reports if r.name == "volume-n=2"]
         recurrence = [r for r in reports if r.name == "coefficient-recurrence-n=2"]
-        assert len(volume_mc) == len(recurrence) == 1
-        assert volume_mc[0] == check_volume_mc(params(2), 1.0, 20_000, np.random.default_rng(2))
+        assert len(volumes) == len(recurrence) == 1
+        assert volumes[0] == check_volume(params(2), 1.0)
         alpha = verification.DerivedConstants.from_params(params(2)).alpha
         assert recurrence[0] == check_coefficient_recurrence(2, alpha)
 
