@@ -34,15 +34,16 @@ The m-th summand is exposed as ``operator_terms[m]``; on the line (n = 1)
 it equals lam^(1-m) d^m/dt^m applied to the kernel and the whole expression
 reduces to the classical telegraph-process density.
 
-The slices are summed by ``special_functions._h_slice``, the one series
-engine of the package, in exponentially scaled form, exp(-lam t) h_b(p),
-the same trick as scipy's ``ive``: the largest term is tracked in log space
-and the partial sums are rescaled in place once it passes e^600, so nothing
-overflows at any lam t.  At the centre of the simplex the series needs about
-lam t / (n+1) terms, so with the 2000-term cap ``density`` and
-``density_batch`` are finite and correct for lam t up to about 1750 (n+1)
-(3,500 at n = 1) and raise ValueError beyond that rather than return a
-truncated sum.  Densities below the float64 range (5e-324) read 0.
+All n+1 slices are summed in one pass by ``special_functions._h_slices``,
+the one series engine of the package, in exponentially scaled form,
+exp(-lam t) h_b(p), the same trick as scipy's ``ive``: they share the top
+slice's terms, every 32 of them make one small matrix product, and every
+rescale is a power of two, so nothing overflows at any lam t.  At the
+centre of the simplex the series needs about lam t / (n+1) terms, so with
+the 2000-term cap ``density`` and ``density_batch`` are finite and correct
+for lam t up to about 1750 (n+1) (3,500 at n = 1) and raise ValueError
+beyond that rather than return a truncated sum.  Densities below the
+float64 range (5e-324) read 0.
 
 The Poisson-weight identities share one log-space sum, ``_log_poisson_sum``,
 finite at every lam t: the tail P{N(t) >= n} of
@@ -85,7 +86,7 @@ from .geometry import (
     _real,
     _y_affine,
 )
-from .special_functions import DerivedConstants, _h_slice, _kernel_jet_batch
+from .special_functions import DerivedConstants, _h_slices, _kernel_jet_batch
 
 __all__ = [
     "DensityValue",
@@ -190,9 +191,7 @@ def _window_terms(
     p = np.prod(u, axis=0)
     terms = _window_sums(u)
     terms *= params.lam**n / (n + 1)
-    for m in range(n + 1):
-        terms[m] *= _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
-    return terms
+    return _h_slices(n, p, tol, params.lam * t, terms)[0]
 
 
 def density(

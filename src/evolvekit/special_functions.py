@@ -4,8 +4,9 @@ The endpoint density is built from the slice series
 
     h_b(p) = sum_{q>=1} p^(q-1) / ((q-1)!^b q!^(n+1-b)),    b = 1..n+1,
 
-all summed by one engine, ``_h_slice``, in exp(-shift)-scaled form.  The
-kernel of order n+1 is the top slice,
+all summed in one pass by one engine, ``_h_slices``, in exp(-shift)-scaled
+form: slice b divides term q of the top slice by q^(n+1-b).  The kernel of
+order n+1 is the top slice,
 
     I(w) = h_(n+1)((w/(n+1))^(n+1)) = sum_{k>=0} (w/(n+1))^((n+1)k) / (k!)^(n+1),
 
@@ -48,7 +49,10 @@ __all__ = [
 
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
 _SERIES_CAP = 2000
-_RESCALE_LOG = 600.0
+_CHUNK = 32  # series terms per matrix product
+_TILE = 4096  # points per tile, so that working memory does not grow with N
+_HEADROOM = 1000  # binary exponent of the largest scaled sum
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # k ln2_hi exact
 
 
 @dataclass(frozen=True)
@@ -101,56 +105,78 @@ class DerivedConstants:
         return cls(alpha=alpha, prefactor=prefactor, pde_constant=pde_constant)
 
 
-def _h_slice(
-    n: int, b: int, p: np.ndarray, tol: float, shift: float
+def _h_slices(
+    n: int, p: np.ndarray, tol: float, shift: float, rows: int | np.ndarray
 ) -> tuple[np.ndarray, int, float]:
-    """The scaled slice series exp(-shift) * h_b(p) for a batch of products
-    p >= 0, with the number of terms summed and the log of the last term
-    at max(p) (unscaled).
+    """exp(-shift) h_(n+1-m)(p), m = 0..rows-1, for products p >= 0, as a new
+    (rows, N) array or multiplied into ``rows`` when that is one; with the
+    number of terms summed and the log of the last term at max(p).
 
-    Term ratio t_(q+1)/t_q = p / (q^b (q+1)^(n+1-b)).  The largest term over
-    the batch (the one at max p) is tracked in log space; once it passes
-    e^_RESCALE_LOG, ``term`` and ``acc`` are divided by it in place and its
-    log moves into ``offset``, so no intermediate overflows whatever p is.
-    The series stops at the first term below tol times the largest one, and
-    raises ValueError if that does not happen within _SERIES_CAP terms.
-    """
+    Slice m divides the top slice's term T_q(p) = p^q / (q!)^(n+1) by (q+1)^m.
+    The sum stops at the first T_q(max p) below tol times the largest (or
+    raises ValueError at _SERIES_CAP).  With max p < 2^e and x = p 2^-e, each
+    chunk of _CHUNK terms is one matrix product with x^0 .. x^(_CHUNK-1), built
+    once per tile of _TILE points.  Every rescale is a power of two, keeping the
+    largest sum near 2^_HEADROOM; exp(-shift) = exp(k ln 2 - shift) 2^-k with
+    k ~ shift / ln 2."""
     pmax = float(np.max(p, initial=0.0))
     log_pmax = math.log(pmax) if pmax > 0.0 else -math.inf
     log_tol = math.log(tol)
-    term = np.ones_like(p)
-    acc = term.copy()
-    log_tmax = log_amax = offset = 0.0
+    frac, e = math.frexp(pmax)
+    drop = round(-_CHUNK * math.log2(frac)) if 0.0 < frac < 1.0 else 0  # ~ _CHUNK log2(2^e / max p)
+    # the coefficient of x^q is mant 2^expo = 2^(e q - drop (q // _CHUNK)) / (q!)^(n+1)
+    mant, expo, c = [1.0], [0], 1.0
+    log_tmax = log_amax = 0.0
     for q in range(1, _SERIES_CAP):
-        if log_amax - offset > _RESCALE_LOG:
-            factor = math.exp(offset - log_amax)
-            term *= factor
-            acc *= factor
-            offset = log_amax
-        scale = 1.0 / (q**b * (q + 1) ** (n + 1 - b))
-        term *= p * scale
-        acc += term
+        scale = 1.0 / q ** (n + 1)
+        c, de = math.frexp(c * scale)
+        mant.append(c)
+        expo.append(expo[-1] + de + e - drop * (q % _CHUNK == 0))
         log_tmax += log_pmax + math.log(scale)
         log_amax = max(log_amax, log_tmax)
         if log_tmax < log_tol + log_amax:
             break
     else:
         raise ValueError(
-            f"slice series h_{b} for n = {n} did not converge within "
+            f"slice series for n = {n} did not converge within "
             f"{_SERIES_CAP} terms at lam*t = {shift:g}"
         )
-    if shift - offset > _RESCALE_LOG:  # keep exp(offset - shift) a normal float
-        acc *= math.exp(offset - log_amax)
-        offset = log_amax
-    acc *= math.exp(offset - shift)
-    return acc, q + 1, log_tmax
+    terms = q + 1
+    out = np.ones((rows, len(p))) if isinstance(rows, int) else rows
+    r, width = len(out), min(_CHUNK, terms)
+    top = max(expo) + terms.bit_length() - _HEADROOM
+    k = round(min(shift / math.log(2), top + 3 * _HEADROOM))  # past the bound every value is 0
+    pad = [0] * (-terms % width)  # whole chunks; the tail's coefficients are 0
+    coef = np.ldexp(mant + pad, np.subtract(expo + pad, top))
+    coef *= math.exp((k * _LN2_HI - shift) + k * _LN2_LO)
+    coef = np.divide.accumulate([coef] + [np.arange(1.0, coef.size + 1.0)] * (r - 1), axis=0)
+    # BLAS sums in an order set by the shapes; the kernel's one row adds in turn, as stencils need
+    dot = np.matmul if r > 1 else lambda a, P, out: np.copyto(out, np.add.accumulate(a.T * P)[-1])
+    powers, acc, part, step = (np.empty(z * min(_TILE, len(p))) for z in (width, r, r, 1))
+    for s in range(0, len(p), _TILE):
+        w = min(_TILE, len(p) - s)
+        P = powers[: width * w].reshape(width, w)
+        A, B, S = acc[: r * w].reshape(r, w), part[: r * w].reshape(r, w), step[:w]
+        P[0] = 1.0
+        np.ldexp(p[s : s + w], -e, out=P[1])
+        for i in range(2, width):
+            np.multiply(P[i - 1], P[1], out=P[i])
+        np.ldexp(P[-1] * P[1], drop, out=S)
+        dot(coef[:, -width:], P, out=A)
+        for j in range(coef.shape[1] - 2 * width, -1, -width):  # Horner in S = x^width 2^drop
+            A *= S
+            dot(coef[:, j : j + width], P, out=B)
+            A += B
+        np.ldexp(A, top - k, out=A)
+        out[:, s : s + w] *= A
+    return out, terms, log_tmax
 
 
 def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     """Sum the kernel series at argument w >= 0.
 
     The kernel is the top slice h_(n+1) at p = (w/(n+1))^(n+1), summed by
-    ``_h_slice`` through the exact ratio t_(k+1)/t_k = p / (k+1)^(n+1).
+    ``_h_slices`` through the exact ratio t_(k+1)/t_k = p / (k+1)^(n+1).
     The ratios decrease, so the dropped tail is at most the last term times
     r / (1 - r), r the next ratio; that is ``truncation_bound``.
     """
@@ -161,8 +187,8 @@ def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     try:  # the value leaves float64 long before the series needs _SERIES_CAP terms
         base = (w / (n + 1)) ** (n + 1)
         with np.errstate(over="ignore"):
-            values, terms, log_last = _h_slice(n, n + 1, np.array([base]), tol, 0.0)
-        value = float(values[0])
+            values, terms, log_last = _h_slices(n, np.array([base]), tol, 0.0, 1)
+        value = float(values[0, 0])
         if not math.isfinite(value):
             raise OverflowError
     except (ValueError, OverflowError) as exc:
@@ -273,7 +299,7 @@ def hyper_bessel_ode_residual(n: int, alpha: float, z: float, h: float) -> float
     # the kernel on the whole stencil in one series call; the centre is zs[m]
     try:
         with np.errstate(over="ignore"):
-            vals = _h_slice(n, m, (alpha * zs / m) ** m, 1e-14, 0.0)[0]
+            vals = _h_slices(n, (alpha * zs / m) ** m, 1e-14, 0.0, 1)[0][0]
         if not np.all(np.isfinite(vals)):
             raise OverflowError
     except (ValueError, OverflowError) as exc:

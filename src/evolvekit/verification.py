@@ -58,7 +58,7 @@ from .geometry import (
 )
 from .special_functions import (
     DerivedConstants,
-    _h_slice,
+    _h_slices,
     series_coefficient,
     tuned_ode_residual,
 )
@@ -92,6 +92,7 @@ SUITES = (
 #: dimensions only, with Monte Carlo beyond: the cubature's nodes per piece
 #: grow as (n+6)!/(5! (n+1)!)
 _FIT_BINS = {1: 20, 2: 8, 3: 4}
+_FIT_BUDGET = 1246  # least giving every mc-fit cell 5 (min_expected) samples, 3 sigma spare
 
 #: largest Gauss-Legendre rule the Beta chain builds: ``leggauss`` solves a
 #: dense eigenproblem of its size, about 0.7 s and 34 MB at 2,048 nodes
@@ -206,16 +207,18 @@ def adaptive_simpson(
 def telegraph_density(x, t: float, lam: float, v: float):
     """Classical density of the symmetric motion on the line with speeds +-v,
     switch rate lam, uniform initial direction; the n = 1 oracle
-    exp(-lam t) / (2v) * (lam I0(xi) + lam v t I1(xi) / r), r = sqrt((vt)^2 - x^2)
-    (0 for |x| >= vt), xi = lam r / v, from the scaled Bessel functions and
-    exp(xi - lam t) = exp(-(lam/v) a^2 / (r + vt)), a = min(|x|, vt): finite
-    wherever the density is."""
+    exp(-lam t) / (2v) * (lam I0(xi) + lam v t I1(xi) / r), r = sqrt((vt)^2 - x^2),
+    xi = lam r / v, from the scaled Bessel functions and
+    exp(xi - lam t) = exp(-(lam/v) x^2 / (r + vt)): finite wherever the
+    density is, and 0 off the open support, |x| >= vt."""
     vt = _real("v", v, 0.0, strict=True) * _real("t", t, 0.0, strict=True)
-    a = np.minimum(np.abs(np.asarray(x, dtype=float)), vt)
+    ax = np.abs(np.asarray(x, dtype=float))
+    a = np.minimum(ax, vt)
     root = np.sqrt(vt - a) * np.sqrt(vt + a)
     xi = (_real("lam", lam, 0.0, strict=True) / v) * root
     flux = vt * i1e(xi) / np.maximum(root, np.finfo(float).tiny)  # i1e(0) = 0 where r = 0
-    return np.exp(-(lam / v) * a * (a / (root + vt))) * lam / (2.0 * v) * (i0e(xi) + flux)
+    decay = np.exp(-(lam / v) * a * (a / (root + vt))) * (ax < vt)  # 0 off the support
+    return decay * lam / (2.0 * v) * (i0e(xi) + flux)
 
 
 def _report(name, target, estimate, sigma, rule, passed, info=""):
@@ -345,7 +348,7 @@ def _kernel(params: EvolutionParams, t: float) -> Callable[[np.ndarray], np.ndar
 
     def kernel_batch(pts: np.ndarray) -> np.ndarray:
         y = np.clip(support_margins(params, pts, t), 0.0, None)
-        return _h_slice(n, n + 1, np.prod(y, axis=1) * pde_constant, 1e-14, 0.0)[0]
+        return _h_slices(n, np.prod(y, axis=1) * pde_constant, 1e-14, 0.0, 1)[0][0]
 
     return kernel_batch
 
@@ -615,12 +618,12 @@ def run_all(
 ) -> list[VerificationReport]:
     """Execute the selected check suites over a grid of (n, lam*t) pairs.
 
-    ``budget`` scales the Monte Carlo sample counts: those of ``mc-fit``, and
-    of ``normalization`` and ``bessel-integral`` for n outside ``_FIT_BINS``,
-    where cubature cannot run; in ``_FIT_BINS`` they use cell cubature, and
-    ``geometry`` is exact, whatever the budget.  Checks of n alone run once
-    per n, at its first lam*t in the grid.  Zero budget returns an empty report.
-    """
+    ``budget`` scales the Monte Carlo sample counts: those of ``mc-fit`` (at
+    least ``_FIT_BUDGET``), and of ``normalization`` and ``bessel-integral``
+    for n outside ``_FIT_BINS``, where cubature cannot run; in ``_FIT_BINS``
+    they use cell cubature, and ``geometry`` is exact, whatever the budget.
+    Checks of n alone run once per n, at its first lam*t in the grid.  Zero
+    budget returns an empty report."""
     for s in suites:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; expected one of {SUITES}")
@@ -630,6 +633,8 @@ def run_all(
         return []
     grid = params_grid if params_grid is not None else _default_grid()
     want = set(SUITES[:-1]) if "all" in suites else set(suites)
+    if "mc-fit" in want and budget < _FIT_BUDGET:
+        raise ValueError(f"budget must be >= {_FIT_BUDGET} for mc-fit's min_expected, got {budget}")
     first_lt: dict[int, float] = {}
     for n, lt in grid:
         first_lt.setdefault(n, lt)

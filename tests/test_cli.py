@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,14 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"pass": 114, "fail": 0, "report_only": 2}
         assert len(payload["checks"]) == 116
+
+    def test_too_small_fit_budget_names_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--suite", "mc-fit", "--budget", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        need = int(re.search(r"budget must be >= (\d+) for mc-fit's min_expected, got 100", err)[1])
+        assert run_cli(["verify", "--suite", "mc-fit", "--budget", str(need)]) == 0
 
     def test_zero_budget_distinct_status(self, capsys):
         assert run_cli(["verify", "--suite", "geometry", "--budget", "0"]) == 0

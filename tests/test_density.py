@@ -34,7 +34,7 @@ from evolvekit.geometry import (
     vertices_at_time,
     volume,
 )
-from evolvekit.special_functions import DerivedConstants, _h_slice
+from evolvekit.special_functions import DerivedConstants, _h_slices
 from test_geometry import _upper_affine
 
 
@@ -293,7 +293,7 @@ class TestLargeLambdaT:
                 for b in range(1, n + 2)
             ])
         def slices(p):
-            return np.array([_h_slice(n, b, p, 1e-12, lt)[0] for b in range(1, n + 2)])
+            return _h_slices(n, p, 1e-12, lt, n + 1)[0][::-1]  # rows b = 1..n+1
 
         batch = slices(p)
         alone = np.hstack([slices(p[k:k + 1]) for k in range(len(p))])
@@ -609,8 +609,9 @@ def _reference_density_batch(params, X, t, tol=1e-12):
         e = _reference_window_sums(u)
         scale = params.lam**n / (n + 1)
         terms = np.empty_like(e)
+        h = _h_slices(n, p, tol, params.lam * t, n + 1)[0]
         for m in range(n + 1):
-            terms[m] = scale * e[m] * _h_slice(n, n + 1 - m, p, tol, params.lam * t)[0]
+            terms[m] = scale * e[m] * h[m]
         values[inside] = DerivedConstants.from_params(params).prefactor * terms.sum(axis=0)
     return values
 

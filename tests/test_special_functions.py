@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from evolvekit.geometry import EvolutionParams, support_margins, _y_affine
 from evolvekit.special_functions import (
     DerivedConstants,
     _jet_mul,
+    _h_slices,
     _radial_operator_grid,
     _kernel_jet_batch,
     eval_hyper_bessel,
@@ -316,3 +318,64 @@ class TestDerivedConstants:
         assert consts.pde_constant == (
             (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2)
         )
+
+
+class TestSliceEngine:
+    """``_h_slices``: all n+1 slices of a batch in one tiled pass."""
+
+    @pytest.mark.parametrize("lt", [20.0, 800.0])
+    def test_tiled_batch_matches_products_one_at_a_time(self, lt):
+        # two full tiles and a last one of a single product, from the centre
+        # of the simplex down to 0 and across many decades
+        n = 2
+        top = (lt / (n + 1)) ** (n + 1)
+        p = top * np.random.default_rng(5).random(2 * special_functions._TILE + 1) ** 4
+        p[[0, -1]] = top, 0.0
+        batch = _h_slices(n, p, 1e-12, lt, n + 1)[0]
+        alone = np.hstack([_h_slices(n, p[k : k + 1], 1e-12, lt, n + 1)[0] for k in range(len(p))])
+        assert np.array_equal(batch == 0.0, alone == 0.0)
+        normal = alone >= np.finfo(float).tiny
+        assert normal[:, 0].all() and normal.mean() > 0.5
+        assert np.all(np.abs(batch[normal] - alone[normal]) <= 1e-12 * alone[normal])
+
+    def test_multiplies_in_place_into_the_callers_rows(self):
+        n, lt = 3, 20.0
+        p = np.linspace(0.0, (lt / (n + 1)) ** (n + 1), 9)
+        rows = np.arange(1.0, 1.0 + (n + 1) * len(p)).reshape(n + 1, len(p))
+        want = rows * _h_slices(n, p, 1e-12, lt, n + 1)[0]
+        got, terms, _ = _h_slices(n, p, 1e-12, lt, rows)
+        assert got is rows
+        assert np.array_equal(got, want)
+        assert terms == _h_slices(n, p, 1e-12, lt, 1)[1]
+
+    @pytest.mark.parametrize("n, lt", [(8, 200.0), (1, 800.0), (3, 800.0)])
+    def test_working_memory_does_not_grow_with_the_batch(self, n, lt):
+        # the tile buffers take about 1.8 MB at n = 8; one more (N,) array
+        # of N = 200,000 points would add 1.6 MB
+        p = np.linspace(0.0, (lt / (n + 1)) ** (n + 1), 200_000)
+        out = np.ones((n + 1, len(p)))
+        tracemalloc.start()
+        try:
+            _h_slices(n, p, 1e-12, lt, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+    @pytest.mark.parametrize(
+        "n, w, tol, terms, bound",
+        [
+            (1, 0.5, 1e-12, 7, "0x1.5298d3e7eea0ap-53"),
+            (2, 3.0, 1e-12, 9, "0x1.82919b57ccf20p-56"),
+            (3, 40.0, 1e-14, 26, "0x1.fa92fa1c064f5p-9"),
+            (8, 200.0, 1e-10, 35, "0x1.fd8d7d1290c1ep+212"),
+            (1, 700.0, 1e-12, 454, "0x1.fa47aaafe2f77p+958"),
+            (5, 0.0, 1e-12, 2, "0x0.0p+0"),
+        ],
+    )
+    def test_kernel_diagnostics_keep_their_bits(self, n, w, tol, terms, bound):
+        # the term count and truncation bound of the per-slice engine this
+        # one replaced, which summed the kernel alone
+        res = eval_hyper_bessel(n, w, tol)
+        assert res.terms_used == terms
+        assert res.truncation_bound.hex() == bound

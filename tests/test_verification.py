@@ -234,6 +234,14 @@ class TestTelegraphOracle:
             assert g == pytest.approx(direct, rel=1e-13)
 
 
+    def test_zero_off_the_open_support(self):
+        lam, v, t = 1.0, 1.0, 1.0
+        for x in (5.0, -1.5, v * t, -v * t):
+            assert telegraph_density(x, t, lam, v) == 0.0
+        inside = np.nextafter(v * t, 0.0)
+        got = telegraph_density(np.array([-5.0, -inside, 0.0, inside, 1.0, 1.5]), t, lam, v)
+        assert np.array_equal(got == 0.0, [True, False, False, False, True, True])
+
     @pytest.mark.parametrize("lt", [800.0, 1e4])
     def test_finite_and_exact_at_large_lam_t(self, lt):
         # i0 and i1 overflowed from about lam t = 710, which made this NaN
@@ -327,6 +335,23 @@ class TestSingularMass:
 class TestRunAll:
     def test_zero_budget_empty(self):
         assert run_all(budget=0) == []
+
+    def test_fit_budget_is_the_least_that_meets_min_expected(self):
+        # of B endpoints, Binomial(B, a) land inside (a = ac_mass, the sum of
+        # the cell masses m), and a cell expects the share m / a of them; it
+        # must expect histogram_fit's min_expected of 5 with three standard
+        # deviations of the inside count to spare
+        from evolvekit.simulator import _expected_masses, simplex_cells
+
+        need = 0.0
+        for n, bins in verification._FIT_BINS.items():
+            p = params(n)
+            m = _expected_masses(simplex_cells(p, 2.0, bins), lambda x: density_batch(p, x, 2.0))
+            spread = 3.0 * math.sqrt(1.0 / m.sum() - 1.0)  # B - spread sqrt(B) >= 5 / m
+            need = max(need, (spread + math.sqrt(spread**2 + 4 * 5.0 / m.min())) ** 2 / 4)
+        assert verification._FIT_BUDGET == math.ceil(need)
+        with pytest.raises(ValueError, match="budget must be >= 1246 for mc-fit"):
+            run_all(budget=1245, suites=("mc-fit",))
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
