@@ -43,7 +43,9 @@ centre of the simplex the series needs about lam t / (n+1) terms, so with
 the 2000-term cap ``density`` and ``density_batch`` are finite and correct
 for lam t up to about 1750 (n+1) (3,500 at n = 1) and raise ValueError
 beyond that rather than return a truncated sum.  Densities below the
-float64 range (5e-324) read 0.
+float64 range (5e-324) read 0.  ``density`` is the one-row
+``density_batch``, bit for bit: one body classifies the points and asks
+only for the constants it uses, the prefactor and lam^n / (n+1).
 
 The Poisson-weight identities share one log-space sum, ``_log_poisson_sum``,
 finite at every lam t: the tail P{N(t) >= n} of
@@ -80,13 +82,12 @@ from .geometry import (
     Membership,
     barycentric_coordinates,
     classify_batch,
-    support_contains,
     volume,
     _log_volume,
     _real,
     _y_affine,
 )
-from .special_functions import DerivedConstants, _h_slices, _kernel_jet_batch
+from .special_functions import DerivedConstants, _density_constants, _h_slices, _kernel_jet_batch
 
 __all__ = [
     "DensityValue",
@@ -162,42 +163,52 @@ def _points(x, t: float, tol: float) -> np.ndarray:
     return X
 
 
+def _density_body(
+    params: EvolutionParams, X: np.ndarray, t: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Membership of checked points X (N, n), the density there, and the
+    scaled window terms of the inside points, shape (n+1, inside)."""
+    loc = classify_batch(params, X, t)
+    inside = loc == Membership.INSIDE
+    values = np.zeros(len(X))
+    terms = np.zeros((params.n + 1, 0))
+    if inside.any():
+        n = params.n
+        prefactor, rate = _density_constants(params, lambda: params.lam**n / (n + 1))
+        terms = _window_terms(params, X.compress(inside, axis=0), t, tol, rate)
+        values[inside] = prefactor * terms.sum(axis=0)
+    return loc, values, terms
+
+
 def density_batch(
     params: EvolutionParams, x, t: float, tol: float = 1e-12
 ) -> np.ndarray:
     """Density of the absolutely continuous component at points x, zero off
     the open simplex.  ``x`` has shape (N, n); returns shape (N,)."""
-    X = np.atleast_2d(_points(x, t, tol))
-    loc = classify_batch(params, X, t)
-    inside = loc == Membership.INSIDE
-    values = np.zeros(len(X))
-    if inside.any():
-        # before lam**n in _window_terms, so an out-of-range constant is named
-        consts = DerivedConstants.from_params(params)
-        terms = _window_terms(params, X.compress(inside, axis=0), t, tol)
-        values[inside] = consts.prefactor * terms.sum(axis=0)
-    return values
+    return _density_body(params, np.atleast_2d(_points(x, t, tol)), t, tol)[1]
 
 
 def _window_terms(
-    params: EvolutionParams, X: np.ndarray, t: float, tol: float
+    params: EvolutionParams, X: np.ndarray, t: float, tol: float, rate: float
 ) -> np.ndarray:
     """Per-window contributions times exp(-lam t), shape (n+1, N); row m
-    generalizes lam^(n-m) d^m/dt^m of the kernel (equality holds at n = 1)."""
-    n = params.n
+    generalizes lam^(n-m) d^m/dt^m of the kernel (equality holds at n = 1).
+    ``rate`` is lam^n / (n+1)."""
     u = barycentric_coordinates(params, X, t).T
     u *= params.lam * t
     np.clip(u, 0.0, None, out=u)
-    p = np.prod(u, axis=0)
-    terms = _window_sums(u)
-    terms *= params.lam**n / (n + 1)
-    return _h_slices(n, p, tol, params.lam * t, terms)[0]
+    with np.errstate(over="ignore"):  # the slice series refuses an infinite product by name
+        p = np.prod(u, axis=0)
+        terms = _window_sums(u)
+    terms *= rate
+    return _h_slices(params.n, p, tol, params.lam * t, terms)[0]
 
 
 def density(
     params: EvolutionParams, x, t: float, tol: float = 1e-12
 ) -> DensityValue:
-    """Density of the absolutely continuous component at one point.
+    """Density of the absolutely continuous component at one point: the
+    one-row ``density_batch``, with the point's location and terms.
 
     Inside the open simplex the value is
     prefactor * exp(-lam t) * sum(operator_terms); on the boundary and
@@ -208,18 +219,13 @@ def density(
     lam t = 709 on) it reads inf, and 0 where its scaled form underflowed.
     """
     X = np.atleast_1d(_points(x, t, tol))[None, :]
-    loc = support_contains(params, X[0], t)
-    if loc is not Membership.INSIDE:
-        return DensityValue(value=0.0, operator_terms=np.zeros(params.n + 1), location=loc)
-    consts = DerivedConstants.from_params(params)
-    scaled = _window_terms(params, X, t, tol)[:, 0]
-    value = consts.prefactor * float(scaled.sum())
-    with np.errstate(over="ignore"):
-        terms = np.multiply(
-            scaled, np.exp(params.lam * t), out=np.zeros_like(scaled), where=scaled > 0.0
-        )
+    loc, values, scaled = _density_body(params, X, t, tol)
+    terms = np.zeros(params.n + 1)
+    if scaled.size:
+        with np.errstate(over="ignore"):
+            np.multiply(scaled[:, 0], np.exp(params.lam * t), out=terms, where=scaled[:, 0] > 0.0)
     terms.setflags(write=False)
-    return DensityValue(value=value, operator_terms=terms, location=loc)
+    return DensityValue(value=float(values[0]), operator_terms=terms, location=loc[0])
 
 
 def jet_operator_density(
@@ -338,9 +344,9 @@ def normalization_series_identity(params: EvolutionParams, t: float) -> float:
         raise AssertionError(f"exponents {exponents} miss or repeat a power")
 
     # corrections remove one copy of each exponent below n (volume flux terms)
-    consts = DerivedConstants.from_params(params)
+    prefactor = _density_constants(params)[0]
     coeff = params.v**n * math.sqrt(n + 1) ** (n + 1) / math.sqrt(n) ** n
-    result = consts.prefactor * coeff * math.exp(_log_poisson_sum(lt, n))
+    result = prefactor * coeff * math.exp(_log_poisson_sum(lt, n))
 
     target = ac_mass(params, t)
     if not abs(result - target) <= 1e-12 * abs(target):
@@ -373,7 +379,7 @@ def remark_constant_check(params: EvolutionParams, t: float) -> tuple[float, flo
     closed = via_volume = math.nan
     with suppress(OverflowError):  # a power, or n! as a float, beyond the range
         if v**n >= tiny:
-            closed = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
+            closed = _density_constants(params)[0]
     with suppress(OverflowError):
         vol = volume(params, t)
         if min(t**n, vol) >= tiny:  # a subnormal factor has lost its precision

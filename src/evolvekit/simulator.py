@@ -16,11 +16,12 @@ time) and ``simulate_path`` (one path on the caller's generator), and
 writes the endpoints into arrays its caller passes.  ``simulate_batch``
 allocates a batch's columns once, and each block's loop writes its own
 rows: on threads, at most one per block, which share only read-only
-tables, or in the calling thread for one worker or one block.  The current
-directions are formed once for the whole batch.  The running paths are
-kept in sample order in one float array of n + 1 rows, their coordinates
-and the time remaining, with one int array of two rows, sample index and
-initial direction d0; after k switches a path's direction is
+tables, or in the calling thread for one worker or one block.  One
+assembly, ``_dataset``, forms the current directions once for the whole
+batch; ``simulate_path`` is row 0 of its one-path batch.  The running
+paths are kept in sample order in one float array of n + 1 rows, their
+coordinates and the time remaining, with one int array of two rows, sample
+index and initial direction d0; after k switches a path's direction is
 (d0 + k) mod (n+1), a column of the rolled direction table.  Each
 iteration draws one exponential per running path in sample order and
 applies ``pos += (v * min(dt, rem)) * tau[d]; rem -= dt``.  On an iteration
@@ -146,16 +147,11 @@ def simulate_path(
 ) -> PathSample:
     """Sample one endpoint: exponential(lam) holding times, cyclic successor,
     speed v, stopped exactly at the horizon.  Draws from ``rng`` through the
-    same path loop as ``simulate_batch``."""
+    same path loop and endpoint assembly as ``simulate_batch``."""
     _check_config(params, config)
-    pos, switches, init = _endpoint_arrays(1, params.n)
-    _sample_paths(params, config, rng, pos, switches, init)
-    return PathSample(
-        position=pos[0],
-        switches=int(switches[0]),
-        current_direction=int((init[0] + switches[0]) % (params.n + 1)),
-        initial_direction=int(init[0]),
-    )
+    columns = _endpoint_arrays(1, params.n)
+    _sample_paths(params, config, rng, *columns)
+    return _dataset(params, config, columns).sample(0)
 
 
 @lru_cache(maxsize=64)
@@ -261,6 +257,15 @@ def simulate_batch(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(sample_block, range(blocks)))
+    return _dataset(params, config, (pos, sw, init))
+
+
+def _dataset(
+    params: EvolutionParams, config: SimulationConfig, columns: tuple[np.ndarray, ...]
+) -> PathDataset:
+    """Sampled ``_endpoint_arrays`` columns as a read-only batch; a path's
+    current direction is (initial direction + switches) mod (n+1)."""
+    pos, sw, init = columns
     cur = init + sw
     cur %= params.n + 1
     for arr in (pos, sw, init, cur):

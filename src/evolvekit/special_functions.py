@@ -12,6 +12,8 @@ order n+1 is the top slice,
 
 which reduces to the classical modified Bessel I_0 at n = 1 and solves the
 radial equation (z d/dz)^(n+1) g = (alpha z)^(n+1) g for g(z) = I(alpha z).
+Every reader of the kernel alone goes through ``_top_slice``, one engine
+call with one named ``OverflowError`` where the kernel leaves float64.
 Expanded in the facet-coordinate product, I(alpha z) with
 z = (y_1...y_(n+1))^(1/(n+1)) becomes sum_k c_k (y_1...y_(n+1))^k with
 
@@ -25,13 +27,16 @@ Time derivatives of the composite t -> I(alpha z(x, t)) are taken with
 truncated-Taylor jets, arrays whose last axis holds the coefficients of
 eps^0..eps^n (exact polynomial arithmetic up to the needed order), rather
 than finite differences; finite differences are kept only as the
-independent cross-check in ``hyper_bessel_ode_residual`` and the test suite.
+independent cross-check of the radial equation, ``_ode_residuals`` (every
+stencil of a grid of arguments and steps in one series call), and in the
+test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -84,25 +89,33 @@ class DerivedConstants:
     def from_params(cls, params: EvolutionParams) -> "DerivedConstants":
         n, lam, v = params.n, params.lam, params.v
         root = math.exp(math.log(2 * n + 2) / (2 * n + 2))
-        alpha = (lam / v) * math.sqrt(n * (n + 1)) / root
-        try:
-            # v**n may underflow to 0; lam / v and a division overflow to inf silently
-            prefactor = math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)
-            pde_constant = (
-                (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2)
-            )
-            if not all(map(math.isfinite, (alpha, prefactor, pde_constant))):
-                raise OverflowError
-        except (OverflowError, ZeroDivisionError):
-            raise OverflowError(
-                f"density constants overflow float64 at n={n}, lam={lam!r}, v={v!r}"
-            ) from None
+        prefactor, alpha, pde_constant = _density_constants(
+            params,
+            lambda: (lam / v) * math.sqrt(n * (n + 1)) / root,
+            lambda: (lam / v) ** (n + 1) * (n / (n + 1)) ** ((n + 1) / 2) / math.sqrt(2 * n + 2),
+        )
         check = (alpha / (n + 1)) ** (n + 1)
         if not math.isclose(pde_constant, check, rel_tol=1e-12):
             raise AssertionError(
                 f"pde constant mismatch: {pde_constant} vs (alpha/(n+1))^(n+1) = {check}"
             )
         return cls(alpha=alpha, prefactor=prefactor, pde_constant=pde_constant)
+
+
+def _density_constants(params: EvolutionParams, *more: Callable[[], float]) -> list[float]:
+    """The density's prefactor (sqrt n)^n / ((sqrt(n+1))^(n+1) v^n), then each
+    of ``more``; ``OverflowError`` naming n, lam and v where one leaves float64."""
+    n, v = params.n, params.v
+    try:  # v**n may underflow to 0; lam / v and a division overflow to inf silently
+        values = [math.sqrt(n) ** n / (math.sqrt(n + 1) ** (n + 1) * v**n)]
+        values += [f() for f in more]
+        if all(map(math.isfinite, values)):
+            return values
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise OverflowError(
+        f"density constants overflow float64 at n={n}, lam={params.lam!r}, v={v!r}"
+    ) from None
 
 
 def _h_slices(
@@ -172,6 +185,19 @@ def _h_slices(
     return out, terms, log_tmax
 
 
+def _top_slice(n: int, p: np.ndarray, tol: float, where: str) -> tuple[np.ndarray, int, float]:
+    """The kernel h_(n+1)(p) at products p >= 0, terms summed and log last term,
+    or ``OverflowError`` naming ``where`` once a value leaves float64."""
+    try:  # the value leaves float64 long before the series needs _SERIES_CAP terms
+        with np.errstate(over="ignore"):
+            values, terms, log_last = _h_slices(n, p, tol, 0.0, 1)
+        if not np.all(np.isfinite(values)):
+            raise OverflowError
+    except (ValueError, OverflowError) as exc:
+        raise OverflowError(f"kernel overflows float64 {where}") from exc
+    return values[0], terms, log_last
+
+
 def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     """Sum the kernel series at argument w >= 0.
 
@@ -184,20 +210,16 @@ def eval_hyper_bessel(n: int, w: float, tol: float = 1e-12) -> HyperBesselEval:
     if _real("tol", tol, 0.0, strict=True) > 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol!r}")
     _real("w", w, 0.0)
-    try:  # the value leaves float64 long before the series needs _SERIES_CAP terms
+    try:
         base = (w / (n + 1)) ** (n + 1)
-        with np.errstate(over="ignore"):
-            values, terms, log_last = _h_slices(n, np.array([base]), tol, 0.0, 1)
-        value = float(values[0, 0])
-        if not math.isfinite(value):
-            raise OverflowError
-    except (ValueError, OverflowError) as exc:
-        raise OverflowError(f"kernel series overflowed at w={w}, n={n}") from exc
+    except OverflowError:  # refused by name in the series
+        base = math.inf
+    values, terms, log_last = _top_slice(n, np.array([base]), tol, f"at w={w}, n={n}")
     ratio = base / terms ** (n + 1) if base else 0.0  # skips a huge int power at large n
     return HyperBesselEval(
         order=n + 1,
         argument=w,
-        value=value,
+        value=float(values[0]),
         terms_used=terms,
         truncation_bound=math.exp(log_last) * ratio / (1.0 - ratio),
     )
@@ -211,11 +233,11 @@ def series_coefficient(n: int, alpha: float, k: int) -> float:
     """
     n, k = _integral("n", n, 1), _integral("k", k, 0)
     _real("alpha", alpha, 0.0, strict=True)
-    logc = (n + 1) * (k * math.log(alpha / (n + 1)) - gammaln(k + 1.0)) if k else 0.0
-    if abs(logc) > _LOG_HUGE:
+    logc = (n + 1) * float(k * math.log(alpha / (n + 1)) - gammaln(k + 1.0)) if k else 0.0
+    if abs(logc) > _LOG_HUGE:  # a float product, so inf at n = 1e308 rather than a warning
         raise OverflowError(
             f"series coefficient magnitude exp({logc:.1f}) outside double range "
-            f"(n={n}, alpha={alpha}, k={k})"
+            f"(n={n:g}, alpha={alpha}, k={k})"
         )
     return math.exp(logc)
 
@@ -275,10 +297,38 @@ def _kernel_jet_batch(
     return G
 
 
-def _radial_operator_grid(values: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
-    """One central-difference application of z d/dz on a uniform grid."""
-    inner = zs[1:-1]
-    return inner * (values[2:] - values[:-2]) / (2.0 * h)
+def _radial_operator_grid(values: np.ndarray, zs: np.ndarray, h) -> np.ndarray:
+    """One central-difference application of z d/dz on uniform grids of step h (last axis)."""
+    inner = zs[..., 1:-1]
+    return inner * (values[..., 2:] - values[..., :-2]) / (2.0 * h)
+
+
+def _ode_residuals(
+    n: int, alpha: float, z: np.ndarray, h0: float | None = None, halvings: int = 6
+) -> np.ndarray:
+    """Best ``hyper_bessel_ode_residual`` at each argument z over ``halvings``
+    steps h0, h0/2, ... (h0 = min(0.05 z / (n+1), 0.05) by default) that keep
+    z > (n+1) h, else inf; the kernel on every stencil is one series call."""
+    m = n + 1
+    first = np.minimum(0.05 * z / m, 0.05) if h0 is None else np.full(z.shape, h0)
+    steps = first[:, None] * 0.5 ** np.arange(halvings)
+    args = np.broadcast_to(z[:, None], steps.shape)
+    fits = args - m * steps > 0
+    c, h = args[fits], steps[fits]  # centre and step of each stencil
+    zs = c[:, None] + np.arange(-m, m + 1) * h[:, None]
+    with np.errstate(over="ignore"):  # an infinite product is refused by name
+        p = (alpha * zs / m) ** m
+    where = f"on the stencil at z={np.max(z, initial=0.0)}, n={n}, alpha={alpha}"
+    vals = _top_slice(n, p.ravel(), 1e-14, where)[0].reshape(zs.shape)
+    g = vals[:, m]
+    for _ in range(m):
+        vals = _radial_operator_grid(vals, zs, h[:, None])
+        zs = zs[:, 1:-1]
+    pde_constant = (alpha / m) ** m
+    rhs = np.array([pde_constant * (m * x) ** m for x in c.tolist()]) * g
+    res = np.full(steps.shape, math.inf)
+    res[fits] = abs(vals[:, 0] - rhs) / abs(g)
+    return res.min(axis=1, initial=math.inf)
 
 
 def hyper_bessel_ode_residual(n: int, alpha: float, z: float, h: float) -> float:
@@ -290,40 +340,16 @@ def hyper_bessel_ode_residual(n: int, alpha: float, z: float, h: float) -> float
     (alpha z)^(n+1) = pde_constant * ((n+1) z)^(n+1).
     """
     n = _integral("n", n, 1)
-    _real("alpha", alpha, 0.0)
     _real("h", h, 0.0, strict=True)
     if _real("z", z, 0.0) - (n + 1) * h <= 0:
         raise ValueError(f"step too large: need z > (n+1) h, got z={z}, h={h}")
-    m = n + 1
-    zs = z + np.arange(-m, m + 1) * h
-    # the kernel on the whole stencil in one series call; the centre is zs[m]
-    try:
-        with np.errstate(over="ignore"):
-            vals = _h_slices(n, (alpha * zs / m) ** m, 1e-14, 0.0, 1)[0][0]
-        if not np.all(np.isfinite(vals)):
-            raise OverflowError
-    except (ValueError, OverflowError) as exc:
-        raise OverflowError(f"overflow on the stencil at z={z}, n={n}, alpha={alpha}") from exc
-    g = vals[m]
-    for _ in range(m):
-        vals = _radial_operator_grid(vals, zs, h)
-        zs = zs[1:-1]
-    lhs = vals[0]
-    pde_constant = (alpha / (n + 1)) ** (n + 1)
-    rhs = pde_constant * ((n + 1) * z) ** (n + 1) * g
-    return abs(lhs - rhs) / abs(g)
+    return tuned_ode_residual(n, alpha, z, h, 1)
 
 
 def tuned_ode_residual(
     n: int, alpha: float, z: float, h0: float | None = None, halvings: int = 6
 ) -> float:
     """Best residual over successively halved steps (Richardson-style tuning)."""
-    if h0 is None:
-        h0 = min(0.05 * z / (n + 1), 0.05)
-    best = math.inf
-    h = h0
-    for _ in range(halvings):
-        if z - (n + 1) * h > 0:
-            best = min(best, hyper_bessel_ode_residual(n, alpha, z, h))
-        h /= 2.0
-    return best
+    n = _integral("n", n, 1)
+    _real("alpha", alpha, 0.0)
+    return float(_ode_residuals(n, alpha, np.array([_real("z", z, 0.0)]), h0, halvings)[0])

@@ -226,6 +226,7 @@ def test_sweep_covers_every_numeric_argument():
             assert numeric <= set(CALLS.get(name, (None, {}))[1]), (name, numeric)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "name, arg", [(name, arg) for name, (_, valid) in CALLS.items() for arg in valid]
 )

@@ -169,7 +169,8 @@ class TestDensityGeneral:
         verts = vertices_at_time(params, t)
         edge_mid = 0.5 * (verts[0] + verts[1])
         consts = DerivedConstants.from_params(params)
-        limit = consts.prefactor * _window_terms(params, edge_mid[None, :], t, 1e-14).sum()
+        rate = params.lam**2 / 3  # lam^n / (n+1)
+        limit = consts.prefactor * _window_terms(params, edge_mid[None, :], t, 1e-14, rate).sum()
         deltas = np.array([1e-3, 1e-5, 1e-7])
         approached = density_batch(params, np.outer(1 - deltas, edge_mid), t)
         errors = np.abs(approached - limit)
@@ -399,12 +400,31 @@ class TestDensityProperties:
         # one point per batch call: across a larger batch the truncation
         # follows the largest product and the per-row rounding of the
         # barycentric map can differ, both amplified by lam t, so equality
-        # at 1e-14 is a one-point property (test_batch_matches_scalar covers
-        # a 30-point batch at small lam t)
+        # is a one-point property (test_batch_matches_scalar covers a 30-point
+        # batch at small lam t); density is the one-row batch, bit for bit
         params, t, x = case
         for xi in x:
-            batch = density_batch(params, xi[None, :], t)[0]
-            assert batch == pytest.approx(density(params, xi, t).value, rel=1e-14, abs=0.0)
+            assert density(params, xi, t).value == density_batch(params, xi[None, :], t)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("lt", [1.0, 20.0, 800.0])
+def test_density_is_the_one_row_batch(n, lt):
+    # inside points, vertices and facet midpoints (boundary), points pushed
+    # outside; value, location and terms all from the one body
+    params = EvolutionParams(n=n, lam=2.0, v=0.5)
+    t = lt / params.lam
+    verts = vertices_at_time(params, t)
+    inside = interior_points(params, t, 6, seed=n)
+    mids = 0.5 * (verts + np.roll(verts, 1, axis=0))
+    pts = np.vstack((inside, verts, mids, 1.01 * verts, 1.01 * mids))
+    location = classify_batch(params, pts, t)
+    assert set(location) == set(Membership)
+    for x, loc in zip(pts, location):
+        got = density(params, x, t)
+        assert got.value == density_batch(params, x[None, :], t)[0]
+        assert got.location is loc
+        assert loc is Membership.INSIDE or not got.operator_terms.any()
 
 
 class TestBoundaryProbability:
@@ -750,3 +770,25 @@ class TestConstantsOutOfRange:
             density_batch(params, origin[None, :], t)
         with pytest.raises(OverflowError, match=named):
             density(params, origin, t)
+
+
+@pytest.mark.parametrize(
+    "n, lam, v, t",
+    [
+        (1, 2e300, 1e-8, 3e-300),  # lam / v, and so alpha, overflows; f(0) is about 3.2e307
+        (2, 1e150, 1e3, 1e-150),  # (lam / v)^3, the pde constant, overflows
+    ],
+)
+def test_density_needs_only_its_own_constants(n, lam, v, t):
+    # the scale law f(0; lam, v, t) = (lam/v)^n f(0; 1, 1, lam t), in logs
+    # because lam / v itself may overflow
+    params = EvolutionParams(n=n, lam=lam, v=v)
+    with pytest.raises(OverflowError, match="density constants overflow"):
+        DerivedConstants.from_params(params)
+    origin = np.zeros(n)
+    got = density(params, origin, t).value
+    unit = density(EvolutionParams(n=n, lam=1.0, v=1.0), origin, lam * t).value
+    assert math.isfinite(got) and got == density_batch(params, origin[None, :], t)[0]
+    # 1e-12 in the log is 1e-12 relative in f; each log near 700 rounds by 1.1e-13
+    scaled = n * (math.log(lam) - math.log(v)) + math.log(unit)
+    assert math.log(got) == pytest.approx(scaled, abs=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import evolvekit.simulator as simulator
 from evolvekit.density import ac_mass
 from evolvekit.geometry import (
     EvolutionParams,
@@ -163,6 +164,29 @@ class TestSimulatePath:
                 switches, init, current
             )
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n, direction, lam", [(1, None, 1.0), (2, 1, 5.0), (3, None, 20.0)])
+    def test_is_row_zero_of_a_one_sample_batch(self, n, direction, lam, monkeypatch):
+        # the same bits as the batch's one row, from the same draws: the
+        # batch's block generator ends in the state the caller's does
+        p = params(n, lam=lam)
+        config = SimulationConfig(
+            seed=5, samples=1, horizon=1.0, initial_direction=direction,
+            start_point=np.linspace(-1.0, 1.0, n),
+        )
+        made = []
+        monkeypatch.setattr(
+            simulator, "_block_rng", lambda c, j: made.append(_block_rng(c, j)) or made[-1]
+        )
+        row = simulate_batch(p, config, workers=1).sample(0)
+        rng = _block_rng(config, 0)
+        got = simulate_path(p, config, rng)
+        assert got.position.tobytes() == row.position.tobytes()
+        assert (got.switches, got.initial_direction, got.current_direction) == (
+            row.switches, row.initial_direction, row.current_direction
+        )
+        assert len(made) == 1  # Philox state holds arrays, so compare the printed state
+        assert repr(rng.bit_generator.state) == repr(made[0].bit_generator.state)
 
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):

@@ -265,6 +265,27 @@ class TestOdeResidual:
                 assert got == pytest.approx(want, rel=1e-6)
         assert calls == []
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_check_is_one_series_call(self, n, monkeypatch):
+        # every stencil of the (z, step) grid in one engine call, with the
+        # worst residual of the per-argument tuning
+        from evolvekit.verification import check_ode_residual
+
+        calls = []
+        engine = special_functions._h_slices
+        monkeypatch.setattr(
+            special_functions, "_h_slices", lambda *a: calls.append(a[1].size) or engine(*a)
+        )
+        alpha = DerivedConstants.from_params(EvolutionParams(n=n, lam=1.0, v=1.0)).alpha
+        report = check_ode_residual(n, alpha)
+        assert len(calls) == 1 and calls[0] == 10 * 6 * (2 * n + 3)
+        monkeypatch.setattr(special_functions, "_h_slices", engine)
+        worst = max(
+            tuned_ode_residual(n, alpha, float(z)) / (alpha * z) ** (n + 1)
+            for z in np.linspace(0.5, 2.0, 10)
+        )
+        assert report.estimate == pytest.approx(worst, rel=1e-3) and report.passed
+
     def test_stencil_overflow_is_named(self):
         with pytest.raises(OverflowError, match="stencil at z=800"):
             hyper_bessel_ode_residual(1, 1.0, 800.0, 1e-3)
